@@ -1,4 +1,4 @@
-.PHONY: all build test fmt bench bench-smoke perf perf-par perf-interp fuzz clean
+.PHONY: all build test fmt bench bench-smoke perf perf-par perf-interp osrbench fuzz clean
 
 all: build
 
@@ -34,6 +34,16 @@ perf-par:
 # Engine timing (reference vs compiled TinyVM) + BENCH_interp.json.
 perf-interp:
 	dune exec bench/main.exe -- interp
+
+# The OSR pipeline benchmark (osrbench/, BENCHMARK.json): every workload for
+# 5 s at seed 1, untraced, printing each workload's JSON result line.
+OSRBENCH_WORKLOADS = kernels-prep study-debug steady-run osr-fire
+
+osrbench:
+	@for w in $(OSRBENCH_WORKLOADS); do \
+	  out=$$(python3 osrbench/run.py --workload $$w --seed 1 --seconds 5 --trace 0) || exit 1; \
+	  echo "$$w $$(printf '%s\n' "$$out" | tail -n 1)"; \
+	done
 
 # Large-iteration seeded fault-injection fuzzing over every feasible
 # corpus transition on both engines (a small fixed-seed slice of the same

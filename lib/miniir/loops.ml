@@ -6,6 +6,7 @@ type loop = {
   header : string;
   body : string list;  (** all blocks of the loop, header included *)
   latches : string list;  (** sources of back edges into the header *)
+  body_set : (string, unit) Hashtbl.t;  (** [body] hashed, for {!in_loop} *)
 }
 
 type t = { loops : loop list; dom : Dom.t }
@@ -52,6 +53,7 @@ let compute ?(index : Func_index.t option) ?(dom : Dom.t option) (f : Ir.func) :
           header;
           body = List.filter (Hashtbl.mem body) (List.map (fun (b : Ir.block) -> b.label) f.blocks);
           latches;
+          body_set = body;
         }
         :: acc)
       by_header []
@@ -62,17 +64,16 @@ let compute ?(index : Func_index.t option) ?(dom : Dom.t option) (f : Ir.func) :
   in
   { loops; dom }
 
-let in_loop (l : loop) (label : string) = List.mem label l.body
+let in_loop (l : loop) (label : string) = Hashtbl.mem l.body_set label
 
 (** Blocks outside the loop that the loop branches to. *)
 let exit_targets (f : Ir.func) (l : loop) : string list =
   List.sort_uniq compare
     (List.concat_map
-       (fun label ->
-         match Ir.find_block f label with
-         | Some b -> List.filter (fun s -> not (in_loop l s)) (Ir.successors b)
-         | None -> [])
-       l.body)
+       (fun (b : Ir.block) ->
+         if in_loop l b.label then List.filter (fun s -> not (in_loop l s)) (Ir.successors b)
+         else [])
+       f.blocks)
 
 (** Predecessors of the header from outside the loop (candidates to be
     replaced by a preheader). *)

@@ -131,12 +131,18 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
   (* --- 2. Demotion set. --------------------------------------------- *)
   let def_tbl = Ir.def_table f in
   let is_instr_defined r = Hashtbl.mem def_tbl r in
+  (* [target] itself is never mutated: one liveness serves the demotion set
+     and the live parameters below. *)
+  let target_live = Liveness.live_at (Liveness.compute target) landing in
   let demoted =
     List.sort_uniq String.compare
       (List.filter is_instr_defined
          (List.map fst plan.transfers @ List.map (fun (c : Reconstruct_ir.comp_instr) -> c.target) plan.comp)
-      @ List.filter is_instr_defined (Liveness.live_at (Liveness.compute target) landing))
+      @ List.filter is_instr_defined target_live)
   in
+  let demoted_set = Hashtbl.create (List.length demoted) in
+  List.iter (fun r -> Hashtbl.replace demoted_set r ()) demoted;
+  let is_demoted r = Hashtbl.mem demoted_set r in
   let slot_of r = r ^ "$slot" in
   (* Rewrite uses to loads, defs get a trailing store. *)
   List.iter
@@ -147,7 +153,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
         let loads = ref [] in
         let fix v =
           match v with
-          | Ir.Reg r when List.mem r demoted ->
+          | Ir.Reg r when is_demoted r ->
               let tmp = Ir.fresh_reg ~hint:(r ^ ".r") f in
               loads :=
                 { Ir.id = Ir.fresh_id f; result = Some tmp; rhs = Ir.Load (Ir.Reg (slot_of r)) }
@@ -160,7 +166,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
         | rhs -> i.rhs <- Ir.map_rhs_operands fix rhs);
         let stores =
           match i.result with
-          | Some r when List.mem r demoted ->
+          | Some r when is_demoted r ->
               [ { Ir.id = Ir.fresh_id f; result = None;
                   rhs = Ir.Store (Ir.Reg r, Ir.Reg (slot_of r)) } ]
           | _ -> []
@@ -178,7 +184,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
                   (List.map
                      (fun (l, v) ->
                        match v with
-                       | Ir.Reg r when List.mem r demoted ->
+                       | Ir.Reg r when is_demoted r ->
                            (* The value is re-read at the edge via the pred's
                               terminator — demoted reads must happen in the
                               predecessor.  Simplest sound fix: read the slot
@@ -191,7 +197,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
                      incoming)
           | _ -> ());
           match i.result with
-          | Some r when List.mem r demoted ->
+          | Some r when is_demoted r ->
               phi_stores :=
                 { Ir.id = Ir.fresh_id f; result = None;
                   rhs = Ir.Store (Ir.Reg r, Ir.Reg (slot_of r)) }
@@ -206,7 +212,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
         Ir.map_term_operands
           (fun v ->
             match v with
-            | Ir.Reg r when List.mem r demoted ->
+            | Ir.Reg r when is_demoted r ->
                 let tmp = Ir.fresh_reg ~hint:(r ^ ".t") f in
                 term_loads :=
                   { Ir.id = Ir.fresh_id f; result = Some tmp;
@@ -232,7 +238,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
                   (List.map
                      (fun (l, v) ->
                        match v with
-                       | Ir.Reg r when List.mem r demoted -> (
+                       | Ir.Reg r when is_demoted r -> (
                            match Ir.find_block f l with
                            | Some pb ->
                                let tmp = Ir.fresh_reg ~hint:(r ^ ".e") f in
@@ -274,7 +280,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
       let incoming =
         match v with Ir.Reg y -> Ir.Reg (param_name y) | (Ir.Const _ | Ir.Undef) as c -> c
       in
-      if List.mem x' demoted then emit (Ir.Store (incoming, Ir.Reg (slot_of x'))) None
+      if is_demoted x' then emit (Ir.Store (incoming, Ir.Reg (slot_of x'))) None
       else
         (* x' is a function parameter of the target; pass it through as a
            parameter of f'to directly (no demotion needed). *)
@@ -286,7 +292,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
     (fun (c : Reconstruct_ir.comp_instr) ->
       let fix v =
         match v with
-        | Ir.Reg r when List.mem r demoted ->
+        | Ir.Reg r when is_demoted r ->
             let tmp = Ir.fresh_reg ~hint:(r ^ ".c") f in
             emit (Ir.Load (Ir.Reg (slot_of r))) (Some tmp);
             Ir.Reg tmp
@@ -300,7 +306,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
       let rhs' = Ir.map_rhs_operands fix c.rhs in
       let tmp = Ir.fresh_reg ~hint:(c.target ^ ".v") f in
       emit rhs' (Some tmp);
-      if List.mem c.target demoted then emit (Ir.Store (Ir.Reg tmp, Ir.Reg (slot_of c.target))) None)
+      if is_demoted c.target then emit (Ir.Store (Ir.Reg tmp, Ir.Reg (slot_of c.target))) None)
     plan.comp;
   let entry =
     {
@@ -313,7 +319,6 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
   in
   (* Function-parameter live values: any target parameter live at landing
      must be supplied by the caller as well; they keep their names. *)
-  let target_live = Liveness.live_at (Liveness.compute target) landing in
   let live_params = List.filter (fun p -> List.mem p target_live) target.params in
   let transfer_params = List.map param_name params_needed in
   let fto =

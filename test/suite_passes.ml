@@ -7,6 +7,7 @@ module Verifier = Miniir.Verifier
 module Interp = Tinyvm.Interp
 module P = Passes.Pass_manager
 module CM = Passes.Code_mapper
+module AM = Passes.Analysis_manager
 
 let parse = Miniir.Ir_parser.parse_func
 
@@ -406,6 +407,235 @@ let test_lcssa_inserts_phi () =
   Alcotest.(check bool) "exit has a phi" true ((Ir.block_exn f "exit").phis <> []);
   Alcotest.(check int) "semantics" 50 (run_int f [ 5 ])
 
+(* LCSSA edge cases: each checks the rewritten IR, that behaviour is kept,
+   and the exact mapper history. *)
+
+let action_str = function
+  | CM.Add { id; block } -> Printf.sprintf "add #%d in %s" id block
+  | CM.Replace { old_value; new_value; inst } ->
+      Printf.sprintf "replace %s by %s in %s" (Ir.value_to_string old_value)
+        (Ir.value_to_string new_value)
+        (match inst with Some id -> Printf.sprintf "#%d" id | None -> "all")
+  | CM.Delete _ | CM.Hoist _ | CM.Sink _ -> "unexpected action"
+
+(* Run LCSSA on [src]; check the change flag, the IR text, the mapper
+   history, and that [cases] (args, result) hold before and after. *)
+let check_lcssa ~changed ~ir ~actions ~cases src =
+  let f = parse src in
+  List.iter (fun (args, want) -> Alcotest.(check int) "input semantics" want (run_int f args)) cases;
+  let m = CM.create () in
+  let c = Passes.Lcssa.run ~mapper:m f in
+  Verifier.verify_exn f;
+  Alcotest.(check bool) "changed" changed c;
+  Alcotest.(check string) "ir" ir (Ir.func_to_string f);
+  Alcotest.(check (list string)) "actions" actions (List.map action_str (CM.actions_in_order m));
+  List.iter (fun (args, want) -> Alcotest.(check int) "semantics" want (run_int f args)) cases
+
+let test_lcssa_nested_escape () =
+  (* Outer loop first: its exit gets a φ of %v; then the inner loop's exit
+     (the outer latch) gets one, and the outer φ is rewritten to read it. *)
+  check_lcssa ~changed:true
+    ~ir:
+      {|func @f(%n) {
+entry:
+  br outer  ; #0
+outer:
+  %i = phi [entry: 0], [olatch: %i2]  ; #2
+  br inner  ; #1
+inner:
+  %j = phi [outer: 0], [inner: %j2]  ; #4
+  %v = add %i, %j  ; #5
+  %j2 = add %j, 1  ; #6
+  %c = icmp slt %j2, 3  ; #7
+  cbr %c, inner, olatch  ; #3
+olatch:
+  %v.lcssa.1 = phi [inner: %v]  ; #13
+  %i2 = add %i, 1  ; #9
+  %d = icmp slt %i2, %n  ; #10
+  cbr %d, outer, exit  ; #8
+exit:
+  %v.lcssa.0 = phi [olatch: %v.lcssa.1]  ; #12
+  ret %v.lcssa.0  ; #11
+}
+|}
+    ~actions:
+      [
+        "add #12 in exit";
+        "replace %v by %v.lcssa.0 in #11";
+        "add #13 in olatch";
+        "replace %v by %v.lcssa.1 in #12";
+      ]
+    ~cases:[ ([ 3 ], 4); ([ 1 ], 2) ]
+    "func @f(%n) {\n\
+     entry:\n\
+    \  br outer\n\
+     outer:\n\
+    \  %i = phi [entry: 0], [olatch: %i2]\n\
+    \  br inner\n\
+     inner:\n\
+    \  %j = phi [outer: 0], [inner: %j2]\n\
+    \  %v = add %i, %j\n\
+    \  %j2 = add %j, 1\n\
+    \  %c = icmp slt %j2, 3\n\
+    \  cbr %c, inner, olatch\n\
+     olatch:\n\
+    \  %i2 = add %i, 1\n\
+    \  %d = icmp slt %i2, %n\n\
+    \  cbr %d, outer, exit\n\
+     exit:\n\
+    \  ret %v\n\
+     }\n"
+
+let test_lcssa_double_use () =
+  (* One φ, and one replace action for the instruction naming %i twice. *)
+  check_lcssa ~changed:true
+    ~ir:
+      {|func @f(%x) {
+entry:
+  br head  ; #0
+head:
+  %i = phi [entry: 0], [body: %i2]  ; #2
+  %c = icmp slt %i, %x  ; #3
+  cbr %c, body, exit  ; #1
+body:
+  %i2 = add %i, 1  ; #5
+  br head  ; #4
+exit:
+  %i.lcssa.0 = phi [head: %i]  ; #8
+  %r = mul %i.lcssa.0, %i.lcssa.0  ; #7
+  ret %r  ; #6
+}
+|}
+    ~actions:[ "add #8 in exit"; "replace %i by %i.lcssa.0 in #7" ]
+    ~cases:[ ([ 5 ], 25); ([ 0 ], 0) ]
+    "func @f(%x) {\n\
+     entry:\n\
+    \  br head\n\
+     head:\n\
+    \  %i = phi [entry: 0], [body: %i2]\n\
+    \  %c = icmp slt %i, %x\n\
+    \  cbr %c, body, exit\n\
+     body:\n\
+    \  %i2 = add %i, 1\n\
+    \  br head\n\
+     exit:\n\
+    \  %r = mul %i, %i\n\
+    \  ret %r\n\
+     }\n"
+
+let test_lcssa_terminator_uses () =
+  (* The exit's [cbr] and the [ret] of a block it dominates are rewritten;
+     the mapper names each terminator by its id. *)
+  check_lcssa ~changed:true
+    ~ir:
+      {|func @f(%x) {
+entry:
+  br head  ; #0
+head:
+  %i = phi [entry: 0], [body: %i2]  ; #2
+  %e = icmp eq %i, 4  ; #3
+  %c = icmp slt %i, %x  ; #4
+  cbr %c, body, exit  ; #1
+body:
+  %i2 = add %i, 1  ; #6
+  br head  ; #5
+exit:
+  %e.lcssa.0 = phi [head: %e]  ; #10
+  %i.lcssa.1 = phi [head: %i]  ; #11
+  cbr %e.lcssa.0, a, b  ; #7
+a:
+  ret %i.lcssa.1  ; #8
+b:
+  ret 0  ; #9
+}
+|}
+    ~actions:
+      [
+        "add #10 in exit";
+        "replace %e by %e.lcssa.0 in #7";
+        "add #11 in exit";
+        "replace %i by %i.lcssa.1 in #8";
+      ]
+    ~cases:[ ([ 4 ], 4); ([ 2 ], 0); ([ 0 ], 0) ]
+    "func @f(%x) {\n\
+     entry:\n\
+    \  br head\n\
+     head:\n\
+    \  %i = phi [entry: 0], [body: %i2]\n\
+    \  %e = icmp eq %i, 4\n\
+    \  %c = icmp slt %i, %x\n\
+    \  cbr %c, body, exit\n\
+     body:\n\
+    \  %i2 = add %i, 1\n\
+    \  br head\n\
+     exit:\n\
+    \  cbr %e, a, b\n\
+     a:\n\
+    \  ret %i\n\
+     b:\n\
+    \  ret 0\n\
+     }\n"
+
+(* [exit] is also reached from [entry], so no single φ can serve it: the
+   φ use of %i there stays as it is. *)
+let test_lcssa_shared_exit () =
+  let src =
+    "func @f(%x) {\n\
+     entry:\n\
+    \  %z = icmp eq %x, 0\n\
+    \  cbr %z, exit, head\n\
+     head:\n\
+    \  %i = phi [entry: 0], [body: %i2]\n\
+    \  %c = icmp slt %i, %x\n\
+    \  cbr %c, body, exit\n\
+     body:\n\
+    \  %i2 = add %i, 1\n\
+    \  br head\n\
+     exit:\n\
+    \  %r = phi [entry: 7], [head: %i]\n\
+    \  ret %r\n\
+     }\n"
+  in
+  check_lcssa ~changed:false ~ir:(Ir.func_to_string (parse src)) ~actions:[]
+    ~cases:[ ([ 0 ], 7); ([ 3 ], 3) ] src
+
+(* Differential: the per-loop-table LCSSA against the whole-function-rescan
+   reference, on the IR LCSSA sees in the standard pipeline. *)
+let lcssa_agrees (f : Ir.func) : bool =
+  let pre =
+    (P.apply ~pipeline:[ P.constprop; P.sccp; P.cse; P.loop_canon ] f).fopt
+  in
+  let run lcssa =
+    let g = Ir.clone_func pre in
+    let m = CM.create () in
+    let changed = lcssa ~mapper:m g in
+    (changed, Ir.func_to_string g, CM.actions_in_order m)
+  in
+  let reference = run (fun ~mapper g -> Lcssa_ref.run ~mapper g) in
+  reference = run (fun ~mapper g -> Passes.Lcssa.run ~mapper g)
+  && reference = run (fun ~mapper g -> Passes.Lcssa.run ~mapper ~am:(AM.create ()) g)
+
+let test_lcssa_matches_reference_corpus () =
+  List.iter
+    (fun (e : Corpus.Kernels.entry) ->
+      let fbase, _ = Corpus.Dsl.to_fbase e.kernel in
+      Alcotest.(check bool) (e.benchmark ^ " agrees") true (lcssa_agrees fbase))
+    Corpus.Kernels.all;
+  List.iter
+    (fun (prof : Corpus.Spec_c.profile) ->
+      List.iter
+        (fun (sf : Corpus.Spec_c.study_func) ->
+          Alcotest.(check bool) (sf.fbase.Ir.fname ^ " agrees") true (lcssa_agrees sf.fbase))
+        (Corpus.Spec_c.functions_of prof))
+    Corpus.Spec_c.profiles
+
+let prop_lcssa_matches_reference =
+  QCheck.Test.make ~count:200 ~name:"LCSSA matches the rescan reference" Gen_ir.arb_func
+    (fun f0 ->
+      lcssa_agrees (P.to_fbase f0)
+      || QCheck.Test.fail_reportf "LCSSA differs from the reference on@.%s"
+           (Ir.func_to_string (P.to_fbase f0)))
+
 (* -------------------- pipeline + properties -------------------- *)
 
 let test_pipeline_end_to_end () =
@@ -500,7 +730,6 @@ let prop_pipeline =
 
 (* ---------------- analysis-manager invalidation differential ------- *)
 
-module AM = Passes.Analysis_manager
 module Dom = Miniir.Dom
 module Liveness = Miniir.Liveness
 
@@ -585,6 +814,11 @@ let suite =
       t "LICM does not speculate division" test_licm_no_div_speculation;
       t "Sink moves into branches" test_sink_moves_into_branch;
       t "LCSSA inserts exit phis" test_lcssa_inserts_phi;
+      t "LCSSA value escaping nested loops" test_lcssa_nested_escape;
+      t "LCSSA instruction using the value twice" test_lcssa_double_use;
+      t "LCSSA terminator uses" test_lcssa_terminator_uses;
+      t "LCSSA skips exits shared with outside" test_lcssa_shared_exit;
+      t "LCSSA matches reference on corpus" test_lcssa_matches_reference_corpus;
       t "pipeline end to end" test_pipeline_end_to_end;
       q prop_mem2reg_preserves;
       q prop_cp;
@@ -593,6 +827,7 @@ let suite =
       q prop_adce;
       q prop_lc;
       q prop_lcssa;
+      q prop_lcssa_matches_reference;
       q prop_sink;
       q prop_licm;
       q prop_pipeline;
