@@ -65,8 +65,7 @@ let analyze_function ~(fbase : Ir.func) ~(fopt : Ir.func) ~(mapper : Passes.Code
   let sv = Source_vars.analyze fbase ~user_vars in
   (* Breakpoint correspondence: fbase → fopt (where does the breakpoint
      land in optimized code), value recovery: fopt → fbase. *)
-  let fwd = Ctx.make ~fbase ~fopt ~mapper Ctx.Base_to_opt in
-  let bwd = Ctx.make ~fbase ~fopt ~mapper Ctx.Opt_to_base in
+  let fwd, bwd = Ctx.make_pair ~fbase ~fopt ~mapper () in
   let points =
     List.filter_map
       (fun base_point ->

@@ -8,34 +8,51 @@
     just before point [l] in [fbase]?  Tracked only when exactly one family
     definition reaches the point on every path (conservative: at merges
     whose φ was pruned, the variable is reported as untracked rather than
-    with a stale value). *)
+    with a stale value).
+
+    [analyze] answers that question for every point at once: one owner
+    table from register names, one gen per block, one reaching-definitions
+    fixpoint over per-variable arrays, then one walk of each block that
+    records the tracked variables before every φ, body instruction and
+    terminator.  Queries are table lookups. *)
 
 module Ir = Miniir.Ir
 
 type t = {
-  fbase : Ir.func;
-  user_vars : string list;
-  families : (string, Ir.reg list) Hashtbl.t;  (** user var → family regs *)
-  reach_in : (string, (string, Ir.reg option) Hashtbl.t) Hashtbl.t;
-      (** block label → (user var → unique reaching family def, if any) *)
+  tracked : (int, (string * Ir.reg) list) Hashtbl.t;
+      (** point id → tracked (user var, carrying value), in [user_vars]
+          order; the first occurrence of a duplicated id wins *)
 }
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
+(* [m] occurs in [s] at offset [k]. *)
+let occurs_at s k m =
+  let lm = String.length m in
+  k + lm <= String.length s
+  &&
+  let rec go j = j = lm || (s.[k + j] = m.[j] && go (j + 1)) in
+  go 0
 
 let family_of (fbase : Ir.func) (u : string) : Ir.reg list =
   List.filter_map
     (fun (i : Ir.instr) ->
       match i.result with
-      | Some r
-        when starts_with ~prefix:(u ^ ".def.") r || starts_with ~prefix:(u ^ ".slot.phi.") r ->
-          Some r
+      | Some r when occurs_at r 0 (u ^ ".def.") || occurs_at r 0 (u ^ ".slot.phi.") -> Some r
       | _ -> None)
     (Ir.all_instrs fbase)
 
-(* Per-variable reaching analysis with a three-point lattice:
-   None = no definition yet, Some (Some r) = unique def r, Some None =
-   conflicting defs. *)
+(* The user variables whose family contains [r], as (index, [r]) pairs:
+   every [u] with [r] = [u ^ ".def." ^ _] or [u ^ ".slot.phi." ^ _]. *)
+let owners (index : (string, int) Hashtbl.t) (r : Ir.reg) : (int * Ir.reg) list =
+  let acc = ref [] in
+  for k = String.length r - 1 downto 0 do
+    if occurs_at r k ".def." || occurs_at r k ".slot.phi." then
+      match Hashtbl.find_opt index (String.sub r 0 k) with
+      | Some v -> acc := (v, r) :: !acc
+      | None -> ()
+  done;
+  !acc
+
+(* Per-variable reaching analysis with a three-point lattice. *)
 type reach = Nothing | Unique of Ir.reg | Conflict
 
 let join a b =
@@ -45,87 +62,84 @@ let join a b =
   | Conflict, _ | _, Conflict -> Conflict
 
 let analyze (fbase : Ir.func) ~(user_vars : string list) : t =
-  let families = Hashtbl.create 16 in
-  List.iter (fun u -> Hashtbl.replace families u (family_of fbase u)) user_vars;
-  let is_family u r = List.mem r (Hashtbl.find families u) in
-  (* Block transfer: last family def in the block wins. *)
-  let block_out (b : Ir.block) (u : string) (incoming : reach) : reach =
-    List.fold_left
-      (fun acc (i : Ir.instr) ->
-        match i.result with Some r when is_family u r -> Unique r | _ -> acc)
-      incoming (Ir.block_instrs b)
+  let index = Hashtbl.create 16 in
+  List.iter
+    (fun u -> if not (Hashtbl.mem index u) then Hashtbl.add index u (Hashtbl.length index))
+    user_vars;
+  let nv = Hashtbl.length index in
+  let vars = List.map (fun u -> (u, Hashtbl.find index u)) user_vars in
+  let blocks = Array.of_list fbase.Ir.blocks in
+  let nb = Array.length blocks in
+  let by_label = Hashtbl.create nb in
+  Array.iteri (fun i (b : Ir.block) -> Hashtbl.replace by_label b.label i) blocks;
+  (* Each instruction's id and family definitions, in block order:
+     computed once, used by both the gen and the final walk. *)
+  let defs =
+    Array.map
+      (fun b ->
+        List.map
+          (fun (i : Ir.instr) ->
+            (i.id, match i.result with Some r -> owners index r | None -> []))
+          (Ir.block_instrs b))
+      blocks
   in
-  let state : (string * string, reach) Hashtbl.t = Hashtbl.create 64 in
-  let get label u = Option.value ~default:Nothing (Hashtbl.find_opt state (label, u)) in
+  (* Block transfer: the last family def in the block wins. *)
+  let gen = Array.map (fun _ -> Array.make nv None) blocks in
+  Array.iteri
+    (fun bi ds ->
+      List.iter (fun (_, d) -> List.iter (fun (v, r) -> gen.(bi).(v) <- Some r) d) ds)
+    defs;
+  let preds = Array.make nb [] in
+  Array.iteri
+    (fun i (b : Ir.block) ->
+      List.iter
+        (fun s ->
+          match Hashtbl.find_opt by_label s with
+          | Some j -> preds.(j) <- i :: preds.(j)
+          | None -> ())
+        (Ir.successors b))
+    blocks;
+  (* Least fixpoint from Nothing everywhere; the transfer is monotone, so
+     the sweep order does not change the result. *)
+  let inn = Array.map (fun _ -> Array.make nv Nothing) blocks in
+  let out p v = match gen.(p).(v) with Some r -> Unique r | None -> inn.(p).(v) in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun (b : Ir.block) ->
-        List.iter
-          (fun u ->
-            let inn =
-              match Ir.predecessors fbase b.label with
-              | [] -> Nothing
-              | preds ->
-                  List.fold_left
-                    (fun acc p ->
-                      join acc (block_out (Ir.block_exn fbase p) u (get p u)))
-                    Nothing preds
-            in
-            if inn <> get b.label u then begin
-              Hashtbl.replace state (b.label, u) inn;
-              changed := true
-            end)
-          user_vars)
-      fbase.Ir.blocks
+    for b = 0 to nb - 1 do
+      for v = 0 to nv - 1 do
+        let x = List.fold_left (fun acc p -> join acc (out p v)) Nothing preds.(b) in
+        if x <> inn.(b).(v) then begin
+          inn.(b).(v) <- x;
+          changed := true
+        end
+      done
+    done
   done;
-  let reach_in = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Ir.block) ->
-      let tbl = Hashtbl.create 8 in
+  let tracked = Hashtbl.create 64 in
+  Array.iteri
+    (fun bi (b : Ir.block) ->
+      let cur = Array.map (function Unique r -> Some r | Nothing | Conflict -> None) inn.(bi) in
+      let record id =
+        if not (Hashtbl.mem tracked id) then
+          Hashtbl.add tracked id
+            (List.filter_map (fun (u, v) -> Option.map (fun r -> (u, r)) cur.(v)) vars)
+      in
       List.iter
-        (fun u ->
-          match get b.label u with
-          | Unique r -> Hashtbl.replace tbl u (Some r)
-          | Nothing | Conflict -> Hashtbl.replace tbl u None)
-        user_vars;
-      Hashtbl.replace reach_in b.label tbl)
-    fbase.Ir.blocks;
-  { fbase; user_vars; families; reach_in }
+        (fun (id, d) ->
+          record id;
+          List.iter (fun (v, r) -> cur.(v) <- Some r) d)
+        defs.(bi);
+      record b.term_id)
+    blocks;
+  { tracked }
+
+(** All user variables tracked at [point] with their carrying values, in
+    [user_vars] order; [[]] for a point not in [fbase]. *)
+let tracked_at (t : t) ~(point : int) : (string * Ir.reg) list =
+  Option.value ~default:[] (Hashtbl.find_opt t.tracked point)
 
 (** The IR value carrying user variable [u] just before instruction id
     [point] in [fbase]; [None] when untracked there. *)
 let value_at (t : t) (u : string) ~(point : int) : Ir.reg option =
-  let is_family r = List.mem r (Hashtbl.find t.families u) in
-  let scan_block (b : Ir.block) (current : Ir.reg option) =
-    let instrs = Ir.block_instrs b in
-    let rec go current = function
-      | [] -> if point = b.term_id then Some current else None
-      | (i : Ir.instr) :: rest ->
-          if i.id = point then Some current
-          else
-            let current =
-              match i.result with Some r when is_family r -> Some r | _ -> current
-            in
-            go current rest
-    in
-    go current instrs
-  in
-  let rec find = function
-    | [] -> None
-    | (b : Ir.block) :: rest -> (
-        let incoming =
-          match Hashtbl.find_opt t.reach_in b.label with
-          | Some tbl -> Option.join (Hashtbl.find_opt tbl u)
-          | None -> None
-        in
-        match scan_block b incoming with Some v -> v | None -> find rest)
-  in
-  find t.fbase.Ir.blocks
-
-(** All user variables tracked at [point] with their carrying values. *)
-let tracked_at (t : t) ~(point : int) : (string * Ir.reg) list =
-  List.filter_map
-    (fun u -> Option.map (fun r -> (u, r)) (value_at t u ~point))
-    t.user_vars
+  List.assoc_opt u (tracked_at t ~point)
