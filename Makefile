@@ -1,4 +1,4 @@
-.PHONY: all build test fmt bench bench-smoke perf perf-par perf-interp osrbench fuzz clean
+.PHONY: all build test fmt bench bench-smoke perf perf-par perf-interp osrbench osrbench-fp fuzz clean
 
 all: build
 
@@ -43,6 +43,15 @@ osrbench:
 	@for w in $(OSRBENCH_WORKLOADS); do \
 	  out=$$(python3 osrbench/run.py --workload $$w --seed 1 --seconds 5 --trace 0) || exit 1; \
 	  echo "$$w $$(printf '%s\n' "$$out" | tail -n 1)"; \
+	done
+
+# Each workload's determinism fingerprint at seed 1 (untraced, 1 s runs: the
+# fingerprint covers the fixed batch, not the timed tail).  Run it on two
+# checkouts and `diff` the outputs to check a change keeps outputs equal.
+osrbench-fp:
+	@for w in $(OSRBENCH_WORKLOADS); do \
+	  out=$$(python3 osrbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0) || exit 1; \
+	  echo "$$w $$(printf '%s\n' "$$out" | grep '^fingerprint')"; \
 	done
 
 # Large-iteration seeded fault-injection fuzzing over every feasible

@@ -17,7 +17,11 @@ type t = {
 }
 
 let compute ?(index : Func_index.t option) (f : Ir.func) : t =
-  let index = match index with Some i -> i | None -> Func_index.make f in
+  let find_block =
+    match index with
+    | Some i -> Func_index.find_block i
+    | None -> Hashtbl.find_opt (Ir.block_table f)  (* a label table, not a full index *)
+  in
   let preds = Hashtbl.create 16 in
   List.iter (fun (b : Ir.block) -> Hashtbl.replace preds b.label []) f.blocks;
   List.iter
@@ -35,7 +39,7 @@ let compute ?(index : Func_index.t option) (f : Ir.func) : t =
   let rec dfs label =
     if not (Hashtbl.mem visited label) then begin
       Hashtbl.add visited label ();
-      (match Func_index.find_block index label with
+      (match find_block label with
       | Some b -> List.iter dfs (Ir.successors b)
       | None -> ());
       post := label :: !post
@@ -147,22 +151,12 @@ let frontiers (t : t) : (string, string list) Hashtbl.t =
 (* Instruction-level dominance                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Position of each instruction id inside its block: (block, index), where
-   φ-nodes share index 0 and the terminator sits after the body. *)
-let instr_positions (f : Ir.func) : (int, string * int) Hashtbl.t =
-  let t = Hashtbl.create 64 in
-  List.iter
-    (fun (b : Ir.block) ->
-      List.iter (fun (i : Ir.instr) -> Hashtbl.replace t i.id (b.label, 0)) b.phis;
-      List.iteri (fun k (i : Ir.instr) -> Hashtbl.replace t i.id (b.label, k + 1)) b.body;
-      Hashtbl.replace t b.term_id (b.label, List.length b.body + 1))
-    f.blocks;
-  t
-
 (** Does the definition at instruction [def_id] dominate the program point
     just before instruction [use_id]?  φ-nodes are treated as defining at
     the very top of their block (they dominate every body instruction of the
-    block); an instruction does not dominate itself. *)
+    block); an instruction does not dominate itself.  [positions] maps each
+    id to (block, index), φ-nodes sharing index 0 and the terminator after
+    the body ([Func_index.positions]). *)
 let instr_dominates (t : t) (positions : (int, string * int) Hashtbl.t) ~(def_id : int)
     ~(use_id : int) : bool =
   match (Hashtbl.find_opt positions def_id, Hashtbl.find_opt positions use_id) with

@@ -19,8 +19,8 @@ type t = {
   owner : (int, string) Hashtbl.t;  (** instruction/terminator id → block label *)
   positions : (int, string * int) Hashtbl.t;
       (** id → (block, index): φ-nodes share index 0, body starts at 1, the
-          terminator sits after the body — same convention as
-          {!Dom.instr_positions} *)
+          terminator sits after the body — the convention
+          {!Dom.instr_dominates} reads *)
   preds : (string, string list) Hashtbl.t;  (** label → predecessor labels *)
   succs : (string, string list) Hashtbl.t;  (** label → successor labels *)
   param_set : (Ir.reg, unit) Hashtbl.t;

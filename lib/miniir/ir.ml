@@ -74,6 +74,13 @@ let entry (f : func) : block =
 let find_block (f : func) (label : string) : block option =
   List.find_opt (fun b -> String.equal b.label label) f.blocks
 
+(** Label → block, keeping the first block with each label (as
+    {!find_block}), for callers that look blocks up repeatedly. *)
+let block_table (f : func) : (string, block) Hashtbl.t =
+  let t = Hashtbl.create (max 16 (List.length f.blocks)) in
+  List.iter (fun b -> if not (Hashtbl.mem t b.label) then Hashtbl.add t b.label b) f.blocks;
+  t
+
 let block_exn (f : func) (label : string) : block =
   match find_block f label with
   | Some b -> b

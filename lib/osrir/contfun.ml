@@ -39,22 +39,22 @@ let param_prefix = "osr$"
 
 (* Remove blocks unreachable from the entry. *)
 let drop_unreachable (f : Ir.func) : unit =
+  let block_of = Ir.block_table f in
   let seen = Hashtbl.create 16 in
   let rec dfs label =
     if not (Hashtbl.mem seen label) then begin
       Hashtbl.add seen label ();
-      match Ir.find_block f label with
+      match Hashtbl.find_opt block_of label with
       | Some b -> List.iter dfs (Ir.successors b)
       | None -> ()
     end
   in
   dfs (Ir.entry f).label;
-  let removed =
-    List.filter_map
-      (fun (b : Ir.block) -> if Hashtbl.mem seen b.label then None else Some b.label)
-      f.blocks
-  in
-  if removed <> [] then begin
+  let removed = Hashtbl.create 16 in
+  List.iter
+    (fun (b : Ir.block) -> if not (Hashtbl.mem seen b.label) then Hashtbl.replace removed b.label ())
+    f.blocks;
+  if Hashtbl.length removed > 0 then begin
     f.blocks <- List.filter (fun (b : Ir.block) -> Hashtbl.mem seen b.label) f.blocks;
     List.iter
       (fun (b : Ir.block) ->
@@ -62,11 +62,21 @@ let drop_unreachable (f : Ir.func) : unit =
           (fun (i : Ir.instr) ->
             match i.rhs with
             | Ir.Phi incoming ->
-                i.rhs <- Ir.Phi (List.filter (fun (l, _) -> not (List.mem l removed)) incoming)
+                i.rhs <-
+                  Ir.Phi (List.filter (fun (l, _) -> not (Hashtbl.mem removed l)) incoming)
             | _ -> ())
           b.phis)
       f.blocks
   end
+
+(* The last block holding program point [id] (φ, body instruction or
+   terminator), if any. *)
+let holder_of (f : Ir.func) (id : int) : Ir.block option =
+  List.fold_left
+    (fun acc (b : Ir.block) ->
+      let has (i : Ir.instr) = i.id = id in
+      if b.term_id = id || List.exists has b.phis || List.exists has b.body then Some b else acc)
+    None f.blocks
 
 (** Generate [f'to] for a transition into [target] at instruction
     [landing], running [plan] on entry.  [promote] controls the final
@@ -75,10 +85,9 @@ let drop_unreachable (f : Ir.func) : unit =
 let generate ?(promote = true) (target : Ir.func) ~(landing : int)
     (plan : Reconstruct_ir.plan) : t =
   let f = Ir.clone_func target in
-  let positions = Dom.instr_positions f in
-  let landing_block, _ =
-    match Hashtbl.find_opt positions landing with
-    | Some p -> p
+  let landing_block =
+    match holder_of f landing with
+    | Some b -> b.label
     | None ->
         raise
           (Osr_error.Error (Osr_error.No_such_point { func = target.fname; point = landing }))
@@ -133,7 +142,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
   let is_instr_defined r = Hashtbl.mem def_tbl r in
   (* [target] itself is never mutated: one liveness serves the demotion set
      and the live parameters below. *)
-  let target_live = Liveness.live_at (Liveness.compute target) landing in
+  let target_live = Liveness.live_at_point target landing in
   let demoted =
     List.sort_uniq String.compare
       (List.filter is_instr_defined
@@ -173,29 +182,10 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
         in
         List.rev !loads @ [ i ] @ stores
       in
-      (* φ-node incomings and results. *)
+      (* φ results (their incomings are rewritten below). *)
       let phi_stores = ref [] in
       List.iter
         (fun (i : Ir.instr) ->
-          (match i.rhs with
-          | Ir.Phi incoming ->
-              i.rhs <-
-                Ir.Phi
-                  (List.map
-                     (fun (l, v) ->
-                       match v with
-                       | Ir.Reg r when is_demoted r ->
-                           (* The value is re-read at the edge via the pred's
-                              terminator — demoted reads must happen in the
-                              predecessor.  Simplest sound fix: read the slot
-                              here is illegal (φ has no body), so instead we
-                              keep the φ reading the original register when
-                              its definition still dominates the edge;
-                              otherwise the slot load goes into the pred. *)
-                           (l, Ir.Reg r)
-                       | _ -> (l, v))
-                     incoming)
-          | _ -> ());
           match i.result with
           | Some r when is_demoted r ->
               phi_stores :=
@@ -227,6 +217,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
      the predecessor unconditionally (the new entry edge breaks dominance
      for the original definitions; the slot always carries the live value,
      and mem2reg re-promotion removes the loads that were unnecessary). *)
+  let block_of = Ir.block_table f in
   List.iter
     (fun (b : Ir.block) ->
       List.iter
@@ -239,7 +230,7 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
                      (fun (l, v) ->
                        match v with
                        | Ir.Reg r when is_demoted r -> (
-                           match Ir.find_block f l with
+                           match Hashtbl.find_opt block_of l with
                            | Some pb ->
                                let tmp = Ir.fresh_reg ~hint:(r ^ ".e") f in
                                pb.body <-
@@ -340,11 +331,11 @@ let generate ?(promote = true) (target : Ir.func) ~(landing : int)
      and re-promotion (it is never rewritten), so recompute liveness on the
      final body; a missing id here is a broken construction invariant. *)
   let live_in =
-    if not (Hashtbl.mem (Dom.instr_positions fto) landing) then
+    if holder_of fto landing = None then
       raise
         (Osr_error.Error
            (Osr_error.Internal
               { what = Printf.sprintf "Contfun.generate: landing #%d lost in @%s" landing fto.fname }))
-    else Liveness.live_at (Liveness.compute fto) landing
+    else Liveness.live_at_point fto landing
   in
   { fto; param_sources; landing; live_in }

@@ -62,7 +62,7 @@ let make_side (f : Ir.func) : side =
     index;
     dom;
     positions = index.Func_index.positions;
-    live = Liveness.compute ~index f;
+    live = Liveness.compute f;
     defs = index.Func_index.defs;
     owner = index.Func_index.owner;
     loops = Loops.compute ~index ~dom f;

@@ -107,7 +107,7 @@ let liveness (t : t) (f : Ir.func) : Liveness.t =
       l
   | None ->
       Telemetry.bump t.tel miss_live;
-      let l = Liveness.compute ~index:(index t f) f in
+      let l = Liveness.compute f in
       t.live <- Some l;
       l
 
@@ -132,9 +132,6 @@ let index_of ?(am : t option) (f : Ir.func) : Func_index.t =
 
 let dom_of ?(am : t option) (f : Ir.func) : Dom.t =
   match am with Some t -> dom t f | None -> Dom.compute f
-
-let liveness_of ?(am : t option) (f : Ir.func) : Liveness.t =
-  match am with Some t -> liveness t f | None -> Liveness.compute f
 
 let loops_of ?(am : t option) (f : Ir.func) : Loops.t =
   match am with Some t -> loops t f | None -> Loops.compute f

@@ -10,24 +10,6 @@ open Import
 
 module SMap = Map.Make (String)
 
-(* Is this alloca promotable?  Its address must only appear as the address
-   operand of loads and stores. *)
-let promotable (f : Ir.func) (slot : Ir.reg) : bool =
-  let ok = ref true in
-  let check_value v = match v with Ir.Reg r when String.equal r slot -> ok := false | _ -> () in
-  List.iter
-    (fun (b : Ir.block) ->
-      List.iter
-        (fun (i : Ir.instr) ->
-          match i.rhs with
-          | Ir.Load (Ir.Reg r) when String.equal r slot -> ()
-          | Ir.Store (v, Ir.Reg r) when String.equal r slot -> check_value v
-          | rhs -> List.iter check_value (Ir.rhs_operands rhs))
-        (Ir.block_instrs b);
-      List.iter check_value (Ir.term_operands b.term))
-    f.blocks;
-  !ok
-
 (* Dominator-tree children, from the CHK idom array. *)
 let dom_children (dom : Dom.t) : (string, string list) Hashtbl.t =
   let children = Hashtbl.create 16 in
@@ -41,46 +23,74 @@ let dom_children (dom : Dom.t) : (string, string list) Hashtbl.t =
     dom.order;
   children
 
-let run ?(am : Analysis_manager.t option) (f : Ir.func) : bool =
-  let slots =
+(* The promotable allocas, in block order: one-cell allocas whose address
+   appears only as the address of loads and stores.  One scan over every
+   operand drops the candidates that escape. *)
+let promotable_slots (f : Ir.func) : Ir.reg list * (Ir.reg, unit) Hashtbl.t =
+  let candidates =
     List.concat_map
       (fun (b : Ir.block) ->
         List.filter_map
           (fun (i : Ir.instr) ->
-            match (i.rhs, i.result) with
-            | Ir.Alloca 1, Some r when promotable f r -> Some (r, i.id)
-            | _ -> None)
+            match (i.rhs, i.result) with Ir.Alloca 1, Some r -> Some r | _ -> None)
           b.body)
       f.blocks
   in
+  let is_slot = Hashtbl.create (max 16 (List.length candidates)) in
+  List.iter (fun r -> Hashtbl.replace is_slot r ()) candidates;
+  if candidates <> [] then begin
+    let escape v = match v with Ir.Reg r -> Hashtbl.remove is_slot r | Ir.Const _ | Ir.Undef -> () in
+    let scan (i : Ir.instr) =
+      match i.rhs with
+      | Ir.Load _ -> ()
+      | Ir.Store (v, _) -> escape v
+      | rhs -> List.iter escape (Ir.rhs_operands rhs)
+    in
+    List.iter
+      (fun (b : Ir.block) ->
+        List.iter scan b.phis;
+        List.iter scan b.body;
+        List.iter escape (Ir.term_operands b.term))
+      f.blocks
+  end;
+  (List.filter (Hashtbl.mem is_slot) candidates, is_slot)
+
+let run ?(am : Analysis_manager.t option) (f : Ir.func) : bool =
+  let slots, is_slot = promotable_slots f in
   if slots = [] then false
   else begin
-    let slot_names = List.map fst slots in
     let dom = Analysis_manager.dom_of ?am f in
     let df = Dom.frontiers dom in
     let children = dom_children dom in
-    (* Blocks storing to each slot. *)
-    let def_blocks slot =
-      List.filter_map
-        (fun (b : Ir.block) ->
-          let stores =
-            List.exists
-              (fun (i : Ir.instr) ->
-                match i.rhs with
-                | Ir.Store (_, Ir.Reg r) -> String.equal r slot
-                | _ -> false)
-              b.body
-          in
-          if stores then Some b.label else None)
-        f.blocks
+    let block_of = Ir.block_table f in
+    let block_exn label =
+      match Hashtbl.find_opt block_of label with
+      | Some b -> b
+      | None -> invalid_arg (Printf.sprintf "Mem2reg: no block %S in @%s" label f.fname)
     in
+    (* Blocks storing to each slot, in block order. *)
+    let def_blocks = Hashtbl.create (List.length slots) in
+    List.iter
+      (fun (b : Ir.block) ->
+        List.iter
+          (fun (i : Ir.instr) ->
+            match i.rhs with
+            | Ir.Store (_, Ir.Reg r) when Hashtbl.mem is_slot r -> (
+                match Option.value ~default:[] (Hashtbl.find_opt def_blocks r) with
+                | l :: _ when String.equal l b.label -> ()
+                | ls -> Hashtbl.replace def_blocks r (b.label :: ls))
+            | _ -> ())
+          b.body)
+      f.blocks;
     (* φ placement: iterated dominance frontier. *)
-    let phi_of : (string * string, Ir.instr) Hashtbl.t = Hashtbl.create 16 in
-    (* (block, slot) → phi instr *)
+    let slot_of_phi : (int, string) Hashtbl.t = Hashtbl.create 16 in
+    (* placed φ id → slot *)
     List.iter
       (fun slot ->
         let worklist = Queue.create () in
-        List.iter (fun b -> Queue.push b worklist) (def_blocks slot);
+        List.iter
+          (fun b -> Queue.push b worklist)
+          (List.rev (Option.value ~default:[] (Hashtbl.find_opt def_blocks slot)));
         let placed = Hashtbl.create 8 in
         let enqueued = Hashtbl.create 8 in
         while not (Queue.is_empty worklist) do
@@ -89,17 +99,18 @@ let run ?(am : Analysis_manager.t option) (f : Ir.func) : bool =
             (fun d ->
               if not (Hashtbl.mem placed d) then begin
                 Hashtbl.add placed d ();
-                let blk = Ir.block_exn f d in
-                let preds = Ir.predecessors f d in
+                let blk = block_exn d in
+                (* [dom.preds] lists predecessors in reverse block order. *)
+                let ps = List.rev (Option.value ~default:[] (Hashtbl.find_opt dom.preds d)) in
                 let phi =
                   {
                     Ir.id = Ir.fresh_id f;
                     result = Some (Ir.fresh_reg ~hint:(slot ^ ".phi") f);
-                    rhs = Ir.Phi (List.map (fun p -> (p, Ir.Undef)) preds);
+                    rhs = Ir.Phi (List.map (fun p -> (p, Ir.Undef)) ps);
                   }
                 in
                 blk.phis <- blk.phis @ [ phi ];
-                Hashtbl.replace phi_of (d, slot) phi;
+                Hashtbl.replace slot_of_phi phi.id slot;
                 if not (Hashtbl.mem enqueued d) then begin
                   Hashtbl.add enqueued d ();
                   Queue.push d worklist
@@ -107,7 +118,7 @@ let run ?(am : Analysis_manager.t option) (f : Ir.func) : bool =
               end)
             (Option.value ~default:[] (Hashtbl.find_opt df b))
         done)
-      slot_names;
+      slots;
     (* Renaming walk over the dominator tree. *)
     let replacements : (Ir.reg, Ir.value) Hashtbl.t = Hashtbl.create 32 in
     (* load result reg → value *)
@@ -123,27 +134,21 @@ let run ?(am : Analysis_manager.t option) (f : Ir.func) : bool =
       go v 64
     in
     let rec walk (label : string) (env : Ir.value SMap.t) : unit =
-      let blk = Ir.block_exn f label in
+      let blk = block_exn label in
       let env = ref env in
       (* φ-nodes of this block define new current values. *)
       List.iter
         (fun (i : Ir.instr) ->
-          List.iter
-            (fun slot ->
-              match Hashtbl.find_opt phi_of (label, slot) with
-              | Some phi when phi.id = i.id -> (
-                  match i.result with
-                  | Some r -> env := SMap.add slot (Ir.Reg r) !env
-                  | None -> ())
-              | _ -> ())
-            slot_names)
+          match (Hashtbl.find_opt slot_of_phi i.id, i.result) with
+          | Some slot, Some r -> env := SMap.add slot (Ir.Reg r) !env
+          | _ -> ())
         blk.phis;
       (* Body: consume loads/stores of promotable slots. *)
       blk.body <-
         List.filter
           (fun (i : Ir.instr) ->
             match i.rhs with
-            | Ir.Load (Ir.Reg a) when List.mem a slot_names ->
+            | Ir.Load (Ir.Reg a) when Hashtbl.mem is_slot a ->
                 let v =
                   match SMap.find_opt a !env with Some v -> resolve v | None -> Ir.Undef
                 in
@@ -151,78 +156,98 @@ let run ?(am : Analysis_manager.t option) (f : Ir.func) : bool =
                 | Some r -> Hashtbl.replace replacements r v
                 | None -> ());
                 false
-            | Ir.Store (v, Ir.Reg a) when List.mem a slot_names ->
+            | Ir.Store (v, Ir.Reg a) when Hashtbl.mem is_slot a ->
                 env := SMap.add a (resolve v) !env;
                 false
             | Ir.Alloca _ when
-                (match i.result with Some r -> List.mem r slot_names | None -> false) ->
+                (match i.result with Some r -> Hashtbl.mem is_slot r | None -> false) ->
                 false
             | _ -> true)
           blk.body;
       (* Fill φ incomings of successors from this edge. *)
       List.iter
         (fun s ->
-          let sb = Ir.block_exn f s in
           List.iter
             (fun (phi : Ir.instr) ->
-              List.iter
-                (fun slot ->
-                  match Hashtbl.find_opt phi_of (s, slot) with
-                  | Some p when p.id = phi.id ->
-                      let v =
-                        match SMap.find_opt slot !env with Some v -> resolve v | None -> Ir.Undef
-                      in
-                      phi.rhs <-
-                        (match phi.rhs with
-                        | Ir.Phi incoming ->
-                            Ir.Phi
-                              (List.map
-                                 (fun (l, old) -> if String.equal l label then (l, v) else (l, old))
-                                 incoming)
-                        | rhs -> rhs)
-                  | _ -> ())
-                slot_names)
-            sb.phis)
+              match Hashtbl.find_opt slot_of_phi phi.id with
+              | Some slot ->
+                  let v =
+                    match SMap.find_opt slot !env with Some v -> resolve v | None -> Ir.Undef
+                  in
+                  phi.rhs <-
+                    (match phi.rhs with
+                    | Ir.Phi incoming ->
+                        Ir.Phi
+                          (List.map
+                             (fun (l, old) -> if String.equal l label then (l, v) else (l, old))
+                             incoming)
+                    | rhs -> rhs)
+              | None -> ())
+            (block_exn s).phis)
         (Ir.successors blk);
       List.iter
         (fun c -> walk c !env)
         (Option.value ~default:[] (Hashtbl.find_opt children label))
     in
     walk (Ir.entry f).label SMap.empty;
-    (* Rewrite every remaining use of replaced load results. *)
+    (* One pass rewrites the remaining uses of replaced load results,
+       touching only the instructions that read one, and counts the uses of
+       every φ result for the pruning below. *)
+    let phi_defs : (Ir.reg, Ir.instr) Hashtbl.t = Hashtbl.create 16 in
     List.iter
       (fun (b : Ir.block) ->
         List.iter
-          (fun (i : Ir.instr) -> i.rhs <- Ir.map_rhs_operands resolve i.rhs)
-          (Ir.block_instrs b);
-        b.term <- Ir.map_term_operands resolve b.term)
+          (fun (i : Ir.instr) ->
+            match (i.rhs, i.result) with
+            | Ir.Phi _, Some r -> Hashtbl.replace phi_defs r i
+            | _ -> ())
+          b.phis)
+      f.blocks;
+    let uses = Hashtbl.create (Hashtbl.length phi_defs) in
+    let count r =
+      if Hashtbl.mem phi_defs r then
+        Hashtbl.replace uses r (1 + Option.value ~default:0 (Hashtbl.find_opt uses r))
+    in
+    let replaced v = match v with Ir.Reg r -> Hashtbl.mem replacements r | _ -> false in
+    List.iter
+      (fun (b : Ir.block) ->
+        let visit (i : Ir.instr) =
+          if List.exists replaced (Ir.rhs_operands i.rhs) then
+            i.rhs <- Ir.map_rhs_operands resolve i.rhs;
+          List.iter count (Ir.rhs_uses i.rhs)
+        in
+        List.iter visit b.phis;
+        List.iter visit b.body;
+        if List.exists replaced (Ir.term_operands b.term) then
+          b.term <- Ir.map_term_operands resolve b.term;
+        List.iter count (Ir.term_uses b.term))
       f.blocks;
     (* Prune unused φ-nodes ("pruned SSA"): the frontier placement inserts
-       φs whether or not a read follows; drop those nobody uses, repeating
-       because φs feed each other. *)
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      let used = Hashtbl.create 64 in
+       φs whether or not a read follows.  A φ whose use count is zero is
+       dropped and releases its own operands, which may free the φs feeding
+       it.  A dead φ cycle keeps its counts and survives, as a repeated
+       rescan for unused φs would leave it. *)
+    let dead = Hashtbl.create 16 in
+    let rec release r =
+      if not (Hashtbl.mem dead r) then begin
+        Hashtbl.replace dead r ();
+        List.iter
+          (fun u ->
+            match Hashtbl.find_opt uses u with
+            | Some n ->
+                Hashtbl.replace uses u (n - 1);
+                if n = 1 then release u
+            | None -> ())
+          (Ir.rhs_uses (Hashtbl.find phi_defs r).rhs)
+      end
+    in
+    Hashtbl.iter (fun r _ -> if not (Hashtbl.mem uses r) then release r) phi_defs;
+    let is_dead (i : Ir.instr) =
+      match (i.rhs, i.result) with Ir.Phi _, Some r -> Hashtbl.mem dead r | _ -> false
+    in
+    if Hashtbl.length dead > 0 then
       List.iter
-        (fun (b : Ir.block) ->
-          List.iter
-            (fun (i : Ir.instr) ->
-              List.iter (fun r -> Hashtbl.replace used r ()) (Ir.rhs_uses i.rhs))
-            (Ir.block_instrs b);
-          List.iter (fun r -> Hashtbl.replace used r ()) (Ir.term_uses b.term))
+        (fun (b : Ir.block) -> b.phis <- List.filter (fun i -> not (is_dead i)) b.phis)
         f.blocks;
-      List.iter
-        (fun (b : Ir.block) ->
-          let keep (i : Ir.instr) =
-            match (i.rhs, i.result) with
-            | Ir.Phi _, Some r when not (Hashtbl.mem used r) ->
-                changed := true;
-                false
-            | _ -> true
-          in
-          b.phis <- List.filter keep b.phis)
-        f.blocks
-    done;
     true
   end

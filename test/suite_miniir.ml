@@ -267,32 +267,74 @@ let all_regs (f : Ir.func) : string list =
   let def_tbl = Ir.def_table f in
   f.params @ Hashtbl.fold (fun r _ acc -> r :: acc) def_tbl []
 
+(* [compute] and [live_at_point] against the reference at every point, and
+   [live_at_point] at two unknown ids. *)
+let liveness_agrees (f : Ir.func) : bool =
+  let lv = Liveness.compute f in
+  let oracle = Liveness.Reference.compute f in
+  let regs = "nonexistent" :: all_regs f in
+  List.for_all
+    (fun p ->
+      let got = Liveness.live_at lv p in
+      let want = Liveness.Reference.live_at oracle p in
+      if got <> want then
+        QCheck.Test.fail_reportf "live_at %d: [%s] vs reference [%s]\n%s" p
+          (String.concat " " got) (String.concat " " want) (Ir.func_to_string f)
+      else if Liveness.live_at_point f p <> want then
+        QCheck.Test.fail_reportf "live_at_point %d disagrees\n%s" p (Ir.func_to_string f)
+      else
+        List.for_all
+          (fun r ->
+            Liveness.is_live lv p r = Liveness.Reference.is_live oracle p r
+            || QCheck.Test.fail_reportf "is_live %d %s disagrees" p r)
+          regs)
+    (all_points f)
+  && List.for_all
+       (fun (b : Ir.block) ->
+         Liveness.live_out_of lv b.label = Liveness.Reference.live_out_of oracle b.label
+         || QCheck.Test.fail_reportf "live_out_of %s disagrees" b.label)
+       f.blocks
+  && List.for_all
+       (fun p ->
+         Liveness.live_at_point f p = []
+         || QCheck.Test.fail_reportf "live_at_point of unknown #%d is not empty" p)
+       [ -1; f.next_id ]
+
+(* On the alloca form and on its mem2reg promotion, which has the φ-nodes
+   the alloca form lacks. *)
 let prop_liveness_agrees_with_reference =
   QCheck.Test.make ~count:150 ~name:"bitset liveness agrees with reference"
     Gen_ir.arb_func (fun (f : Ir.func) ->
-      let lv = Liveness.compute f in
-      let oracle = Liveness.Reference.compute f in
-      let regs = "nonexistent" :: all_regs f in
-      List.for_all
-        (fun p ->
-          let got = Liveness.live_at lv p in
-          let want = Liveness.Reference.live_at oracle p in
-          if got <> want then
-            QCheck.Test.fail_reportf "live_at %d: [%s] vs reference [%s]\n%s" p
-              (String.concat " " got) (String.concat " " want) (Ir.func_to_string f)
-          else
-            List.for_all
-              (fun r ->
-                Liveness.is_live lv p r = Liveness.Reference.is_live oracle p r
-                || QCheck.Test.fail_reportf "is_live %d %s disagrees" p r)
-              regs)
-        (all_points f)
-      && List.for_all
-           (fun (b : Ir.block) ->
-             Liveness.live_out_of lv b.label
-             = Liveness.Reference.live_out_of oracle b.label
-             || QCheck.Test.fail_reportf "live_out_of %s disagrees" b.label)
-           f.blocks)
+      liveness_agrees f && liveness_agrees (Passes.Pass_manager.to_fbase f))
+
+(* The same on real functions: [compute] at every point of the 12 kernels'
+   fbase/fopt and of every 20th continuation, [live_at_point] at every
+   point of fbase/fopt.  [live_at_point] solves the whole function per
+   call, so on the continuations it is checked at the landing and at every
+   10th point. *)
+let test_liveness_matches_reference_corpus () =
+  let check ?(sample = fun _ _ -> true) name (f : Ir.func) =
+    let lv = Liveness.compute f in
+    let oracle = Liveness.Reference.compute f in
+    List.iteri
+      (fun k p ->
+        let want = Liveness.Reference.live_at oracle p in
+        if Liveness.live_at lv p <> want then Alcotest.failf "%s: live_at #%d" name p;
+        if sample k p && Liveness.live_at_point f p <> want then
+          Alcotest.failf "%s: live_at_point #%d" name p)
+      (all_points f)
+  in
+  List.iter
+    (fun (bench, (r : Passes.Pass_manager.apply_result)) ->
+      check (bench ^ " fbase") r.fbase;
+      check (bench ^ " fopt") r.fopt)
+    (Lazy.force Kernel_transitions.versions);
+  List.iter
+    (fun (t : Kernel_transitions.transition) ->
+      check
+        ~sample:(fun k p -> p = t.landing || k mod 10 = 0)
+        t.name (Osrir.Contfun.generate t.target ~landing:t.landing t.plan).fto)
+    (Lazy.force Kernel_transitions.every_20th)
 
 let prop_func_index_consistent =
   QCheck.Test.make ~count:150 ~name:"Func_index agrees with linear lookups"
@@ -343,5 +385,6 @@ let suite =
       q prop_roundtrip;
       q prop_determinism;
       q prop_liveness_agrees_with_reference;
+      t "liveness matches reference on corpus" test_liveness_matches_reference_corpus;
       q prop_func_index_consistent;
     ] )

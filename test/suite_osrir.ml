@@ -107,6 +107,26 @@ let test_contfun_verifies () =
     (Ctx.source_points ctx);
   Alcotest.(check bool) "checked some continuations" true (!checked > 0)
 
+(* The continuation against references built from the unpromoted form:
+   [generate] must equal the reference mem2reg applied to the
+   [~promote:false] continuation, and its [live_in] the reference liveness
+   at the landing. *)
+let test_contfun_matches_reference () =
+  let conts = Lazy.force Kernel_transitions.every_20th in
+  Alcotest.(check bool) "some continuations" true (conts <> []);
+  List.iter
+    (fun (t : Kernel_transitions.transition) ->
+      let cont = Osrir.Contfun.generate t.target ~landing:t.landing t.plan in
+      let demoted = (Osrir.Contfun.generate ~promote:false t.target ~landing:t.landing t.plan).fto in
+      ignore (Mem2reg_ref.run demoted : bool);
+      Alcotest.(check string) (t.name ^ " fto") (Ir.func_to_string demoted)
+        (Ir.func_to_string cont.fto);
+      let want =
+        Miniir.Liveness.Reference.live_at (Miniir.Liveness.Reference.compute cont.fto) t.landing
+      in
+      Alcotest.(check (list string)) (t.name ^ " live_in") want cont.live_in)
+    conts
+
 (* -------------------- end-to-end transitions -------------------- *)
 
 (* The oracle: running src with an OSR firing at any feasible point must be
@@ -307,6 +327,7 @@ let suite =
       t "value candidates via replacements" test_value_candidates;
       t "feasibility shapes" test_feasibility_shapes;
       t "continuation functions verify" test_contfun_verifies;
+      t "continuations match the references" test_contfun_matches_reference;
       t "example transitions sound" test_example_transitions;
       t "transition mid-loop" test_transition_mid_loop;
       t "memory carried across" test_memory_carried_across;

@@ -67,6 +67,211 @@ let test_mem2reg_keeps_escaping () =
        (Ir.all_instrs g));
   Alcotest.(check int) "still correct" 9 (run_int g [ 9 ])
 
+(* Differential: the one-scan mem2reg against the per-slot-rescan
+   reference, with and without an analysis manager: the same return value
+   and byte-identical IR text. *)
+let mem2reg_agrees (f : Ir.func) : bool =
+  let run m2r =
+    let g = Ir.clone_func f in
+    let changed = m2r g in
+    (changed, Ir.func_to_string g)
+  in
+  let reference = run (fun g -> Mem2reg_ref.run g) in
+  reference = run (fun g -> Passes.Mem2reg.run g)
+  && reference = run (fun g -> Passes.Mem2reg.run ~am:(AM.create ()) g)
+
+let test_mem2reg_matches_reference_corpus () =
+  List.iter
+    (fun (e : Corpus.Kernels.entry) ->
+      let raw, _ = Corpus.Dsl.lower e.kernel in
+      Alcotest.(check bool) (e.benchmark ^ " alloca form agrees") true (mem2reg_agrees raw))
+    Corpus.Kernels.all;
+  let conts = Lazy.force Kernel_transitions.every_20th in
+  Alcotest.(check bool) "some continuations" true (conts <> []);
+  List.iter
+    (fun (t : Kernel_transitions.transition) ->
+      let demoted = (Osrir.Contfun.generate ~promote:false t.target ~landing:t.landing t.plan).fto in
+      Alcotest.(check bool) (t.name ^ " continuation agrees") true (mem2reg_agrees demoted))
+    conts
+
+let prop_mem2reg_matches_reference =
+  QCheck.Test.make ~count:200 ~name:"mem2reg matches the rescan reference" Gen_ir.arb_func
+    (fun f ->
+      mem2reg_agrees f
+      || QCheck.Test.fail_reportf "mem2reg differs from the reference on@.%s"
+           (Ir.func_to_string f))
+
+(* A hand-written mem2reg case: the reference agrees, the IR text is as
+   given, the result verifies, and [cases] hold before and after. *)
+let check_mem2reg ~ir ~cases src =
+  let f = parse src in
+  Alcotest.(check bool) "agrees with reference" true (mem2reg_agrees f);
+  List.iter (fun (args, want) -> Alcotest.(check int) "input semantics" want (run_int f args)) cases;
+  Alcotest.(check bool) "changed" true (Passes.Mem2reg.run f);
+  Verifier.verify_exn f;
+  Alcotest.(check string) "ir" ir (Ir.func_to_string f);
+  List.iter (fun (args, want) -> Alcotest.(check int) "semantics" want (run_int f args)) cases
+
+(* The slot is only ever re-stored with its own value inside the loop: the
+   header and latch φs read each other and nothing else reads them.  A
+   dead φ cycle is kept. *)
+let test_mem2reg_dead_phi_cycle () =
+  check_mem2reg
+    ~ir:
+      {|func @f(%x) {
+entry:
+  br head  ; #0
+head:
+  %i = phi [entry: 0], [latch: %i2]  ; #4
+  %s.phi.1 = phi [entry: 0], [latch: %s.phi.0]  ; #15
+  %c = icmp slt %i, %x  ; #5
+  cbr %c, body, exit  ; #3
+body:
+  %e = icmp eq %i, 3  ; #7
+  cbr %e, then, latch  ; #6
+then:
+  br latch  ; #8
+latch:
+  %s.phi.0 = phi [body: %s.phi.1], [then: %s.phi.1]  ; #14
+  %i2 = add %i, 1  ; #12
+  br head  ; #11
+exit:
+  ret %i  ; #13
+}
+|}
+    ~cases:[ ([ 5 ], 5); ([ 0 ], 0) ]
+    "func @f(%x) {\n\
+     entry:\n\
+    \  %s = alloca\n\
+    \  store 0, %s\n\
+    \  br head\n\
+     head:\n\
+    \  %i = phi [entry: 0], [latch: %i2]\n\
+    \  %c = icmp slt %i, %x\n\
+    \  cbr %c, body, exit\n\
+     body:\n\
+    \  %e = icmp eq %i, 3\n\
+    \  cbr %e, then, latch\n\
+     then:\n\
+    \  %v = load %s\n\
+    \  store %v, %s\n\
+    \  br latch\n\
+     latch:\n\
+    \  %i2 = add %i, 1\n\
+    \  br head\n\
+     exit:\n\
+    \  ret %i\n\
+     }\n"
+
+(* Two diamonds store to the slot and nothing loads it afterwards: the
+   second join's φ is unused, and dropping it frees the first join's. *)
+let test_mem2reg_phi_chain_pruned () =
+  check_mem2reg
+    ~ir:
+      {|func @f(%x, %y) {
+entry:
+  cbr %x, a1, b1  ; #0
+a1:
+  br j1  ; #2
+b1:
+  br j1  ; #4
+j1:
+  cbr %y, a2, j2  ; #6
+a2:
+  br j2  ; #7
+j2:
+  ret %x  ; #9
+}
+|}
+    ~cases:[ ([ 1; 1 ], 1); ([ 0; 0 ], 0) ]
+    "func @f(%x, %y) {\n\
+     entry:\n\
+    \  %s = alloca\n\
+    \  cbr %x, a1, b1\n\
+     a1:\n\
+    \  store 1, %s\n\
+    \  br j1\n\
+     b1:\n\
+    \  store 2, %s\n\
+    \  br j1\n\
+     j1:\n\
+    \  cbr %y, a2, j2\n\
+     a2:\n\
+    \  store 3, %s\n\
+    \  br j2\n\
+     j2:\n\
+    \  ret %x\n\
+     }\n"
+
+(* Stored, never loaded: the slot and its stores disappear. *)
+let test_mem2reg_store_only () =
+  check_mem2reg
+    ~ir:
+      {|func @f(%x) {
+entry:
+  %d = add %x, %x  ; #3
+  ret %d  ; #0
+}
+|}
+    ~cases:[ ([ 4 ], 8) ]
+    "func @f(%x) {\n\
+     entry:\n\
+    \  %s = alloca\n\
+    \  store %x, %s\n\
+    \  %d = add %x, %x\n\
+    \  store %d, %s\n\
+    \  ret %d\n\
+     }\n"
+
+(* A load before any store reads [undef]. *)
+let test_mem2reg_load_before_store () =
+  check_mem2reg
+    ~ir:
+      {|func @f(%x) {
+entry:
+  %w = add undef, %x  ; #3
+  ret %w  ; #0
+}
+|}
+    ~cases:[]
+    "func @f(%x) {\n\
+     entry:\n\
+    \  %s = alloca\n\
+    \  %v = load %s\n\
+    \  %w = add %v, %x\n\
+    \  store %w, %s\n\
+    \  %z = load %s\n\
+    \  ret %z\n\
+     }\n"
+
+(* [%a] escapes through an add; [%b] next to it is still promoted. *)
+let test_mem2reg_escaping_next_to_promotable () =
+  check_mem2reg
+    ~ir:
+      {|func @f(%x) {
+entry:
+  %a = alloca  ; #1
+  store %x, %a  ; #4
+  %q = add %a, 0  ; #5
+  %u = load %q  ; #6
+  %r = add %u, 7  ; #8
+  ret %r  ; #0
+}
+|}
+    ~cases:[ ([ 2 ], 9) ]
+    "func @f(%x) {\n\
+     entry:\n\
+    \  %a = alloca\n\
+    \  %b = alloca\n\
+    \  store 7, %b\n\
+    \  store %x, %a\n\
+    \  %q = add %a, 0\n\
+    \  %u = load %q\n\
+    \  %w = load %b\n\
+    \  %r = add %u, %w\n\
+    \  ret %r\n\
+     }\n"
+
 (* -------------------- individual pass behaviours -------------------- *)
 
 let test_constprop_folds () =
@@ -799,6 +1004,12 @@ let suite =
     [
       t "mem2reg promotes with phis" test_mem2reg_promotes;
       t "mem2reg keeps escaping allocas" test_mem2reg_keeps_escaping;
+      t "mem2reg matches reference on corpus" test_mem2reg_matches_reference_corpus;
+      t "mem2reg keeps a dead phi cycle" test_mem2reg_dead_phi_cycle;
+      t "mem2reg prunes a phi chain" test_mem2reg_phi_chain_pruned;
+      t "mem2reg drops a store-only slot" test_mem2reg_store_only;
+      t "mem2reg load before store is undef" test_mem2reg_load_before_store;
+      t "mem2reg escaping next to promotable" test_mem2reg_escaping_next_to_promotable;
       t "constprop folds chains" test_constprop_folds;
       t "constprop keeps trapping division" test_constprop_keeps_trapping_div;
       t "CSE dedups expressions" test_cse_dedups;
@@ -821,6 +1032,7 @@ let suite =
       t "LCSSA matches reference on corpus" test_lcssa_matches_reference_corpus;
       t "pipeline end to end" test_pipeline_end_to_end;
       q prop_mem2reg_preserves;
+      q prop_mem2reg_matches_reference;
       q prop_cp;
       q prop_sccp;
       q prop_cse;
