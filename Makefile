@@ -1,4 +1,4 @@
-.PHONY: all build test fmt bench bench-smoke perf perf-par perf-interp osrbench osrbench-fp fuzz clean
+.PHONY: all build test fmt bench bench-smoke perf-par osrbench osrbench-fp fuzz clean
 
 all: build
 
@@ -23,17 +23,9 @@ bench:
 bench-smoke:
 	dune exec bench/main.exe -- smoke
 
-# Feasibility-sweep timing + BENCH_feasibility.json + Chrome trace.
-perf:
-	dune exec bench/main.exe -- perf --trace-out trace.json
-
 # Parallel sweep scaling (j = 1, 2, 4, #cores) + BENCH_parallel.json.
 perf-par:
 	dune exec bench/main.exe -- perf-par
-
-# Engine timing (reference vs compiled TinyVM) + BENCH_interp.json.
-perf-interp:
-	dune exec bench/main.exe -- interp
 
 # The OSR pipeline benchmark (osrbench/, BENCHMARK.json): every workload for
 # 5 s at seed 1, untraced, printing each workload's JSON result line.

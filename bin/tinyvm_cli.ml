@@ -21,19 +21,29 @@ module Interp = Tinyvm.Interp
 
 open Cmdliner
 
-let kernel_conv : Corpus.Kernels.entry Arg.conv =
+(* A positional name looked up in [all]; an unknown one is a usage error. *)
+let name_conv ~what ~(find : string -> 'a option) ~(name : 'a -> string) (all : 'a list) :
+    'a Arg.conv =
   let parse s =
-    match Corpus.Kernels.find s with
+    match find s with
     | Some e -> Ok e
     | None ->
         Error
           (`Msg
-            (Printf.sprintf "unknown benchmark %S (try: %s)" s
-               (String.concat ", "
-                  (List.map (fun (e : Corpus.Kernels.entry) -> e.benchmark) Corpus.Kernels.all))))
+            (Printf.sprintf "unknown %s %S (try: %s)" what s
+               (String.concat ", " (List.map name all))))
   in
-  let print ppf (e : Corpus.Kernels.entry) = Format.pp_print_string ppf e.benchmark in
-  Arg.conv (parse, print)
+  Arg.conv (parse, fun ppf e -> Format.pp_print_string ppf (name e))
+
+let kernel_conv =
+  name_conv ~what:"benchmark" ~find:Corpus.Kernels.find
+    ~name:(fun (e : Corpus.Kernels.entry) -> e.benchmark)
+    Corpus.Kernels.all
+
+let study_conv =
+  name_conv ~what:"study benchmark" ~find:Corpus.Spec_c.find
+    ~name:(fun (p : Corpus.Spec_c.profile) -> p.bench)
+    Corpus.Spec_c.profiles
 
 let bench_arg = Arg.(required & pos 0 (some kernel_conv) None & info [] ~docv:"BENCHMARK")
 
@@ -57,7 +67,7 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Shard the heavy analyses across $(docv) domains.  Output is deterministic: \
+          "Shard the feasibility sweep across $(docv) domains.  Output is deterministic: \
            reports, statistics counters and remarks are byte-equal to a $(b,-j 1) run.")
 
 let with_pool (jobs : int) (f : Parallel.Pool.t option -> 'a) : 'a =
@@ -167,19 +177,8 @@ let with_telemetry (o : telem_opts) (f : Telemetry.sink -> unit) : unit =
       Printf.printf "wrote %s (%d events)\n" path (List.length (Telemetry.trace_events sink)))
     o.trace_out
 
-let prepare ?telemetry ?pool (e : Corpus.Kernels.entry) =
-  let fbase, dbg = Corpus.Dsl.to_fbase e.kernel in
-  let r =
-    match pool with
-    | Some pool -> List.hd (P.apply_corpus ~pool ?telemetry [ fbase ])
-    | None -> P.apply ?telemetry fbase
-  in
-  (r, dbg)
-
-let analyze_with ?pool ~telemetry ctx =
-  match pool with
-  | Some pool -> F.analyze_par ~telemetry ~pool ctx
-  | None -> F.analyze ~telemetry ctx
+let prepare ?telemetry (e : Corpus.Kernels.entry) : P.apply_result =
+  P.apply ?telemetry (fst (Corpus.Dsl.to_fbase e.kernel))
 
 (* --- list ----------------------------------------------------------- *)
 
@@ -199,7 +198,7 @@ let list_cmd =
 
 let show_cmd =
   let run entry opt =
-    let r, _ = prepare entry in
+    let r = prepare entry in
     print_string (Ir.func_to_string (if opt then r.P.fopt else r.P.fbase))
   in
   Cmd.v
@@ -209,12 +208,11 @@ let show_cmd =
 (* --- run ------------------------------------------------------------ *)
 
 let run_cmd =
-  let run (entry : Corpus.Kernels.entry) opt args fuel engine jobs telem =
+  let run (entry : Corpus.Kernels.entry) opt args fuel engine telem =
     guarded @@ fun () ->
-    with_pool jobs @@ fun pool ->
     with_telemetry telem @@ fun sink ->
     let (module E : Tinyvm.Engine.S) = engine_mod engine in
-    let r, _ = prepare ~telemetry:sink ?pool entry in
+    let r = prepare ~telemetry:sink entry in
     let f = if opt then r.P.fopt else r.P.fbase in
     let args = if args = [] then entry.default_args else args in
     match
@@ -236,31 +234,25 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Execute a kernel in the TinyVM.")
     Term.(
-      const run $ bench_arg $ opt_flag $ args_opt $ fuel_arg $ engine_arg $ jobs_arg
-      $ telem_term)
+      const run $ bench_arg $ opt_flag $ args_opt $ fuel_arg $ engine_arg $ telem_term)
 
 (* --- opt (file) ------------------------------------------------------ *)
 
 let opt_cmd =
   let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ir") in
-  let run path jobs telem =
-    with_pool jobs @@ fun pool ->
+  let run path telem =
     with_telemetry telem @@ fun sink ->
     let src = In_channel.with_open_text path In_channel.input_all in
     let f = Miniir.Ir_parser.parse_func src in
     Miniir.Verifier.verify_exn f;
-    let r =
-      match pool with
-      | Some pool -> List.hd (P.apply_corpus ~pool ~telemetry:sink [ f ])
-      | None -> P.apply ~telemetry:sink f
-    in
+    let r = P.apply ~telemetry:sink f in
     print_string (Ir.func_to_string r.P.fopt);
     Printf.printf "; actions: %d\n"
       (List.length (Passes.Code_mapper.actions_in_order r.P.mapper))
   in
   Cmd.v
     (Cmd.info "opt" ~doc:"Parse an IR file, run the optimization pipeline, print the result.")
-    Term.(const run $ file_arg $ jobs_arg $ telem_term)
+    Term.(const run $ file_arg $ telem_term)
 
 (* --- osr-points ------------------------------------------------------ *)
 
@@ -268,10 +260,10 @@ let osr_points_cmd =
   let run (entry : Corpus.Kernels.entry) backward jobs telem =
     with_pool jobs @@ fun pool ->
     with_telemetry telem @@ fun sink ->
-    let r, _ = prepare ~telemetry:sink ?pool entry in
+    let r = prepare ~telemetry:sink entry in
     let dir = if backward then Ctx.Opt_to_base else Ctx.Base_to_opt in
     let ctx = Ctx.make ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper dir in
-    let s = analyze_with ?pool ~telemetry:sink ctx in
+    let s = F.analyze ~telemetry:sink ?pool ctx in
     Printf.printf "%s, %s: %d points — %d with empty c, %d live-feasible, %d avail-feasible\n"
       entry.benchmark
       (if backward then "fopt → fbase" else "fbase → fopt")
@@ -337,7 +329,7 @@ let osr_run_cmd =
     with_telemetry telem @@ fun sink ->
     let (module E : Tinyvm.Engine.S) = engine_mod engine in
     let module Rt = Osrir.Osr_runtime.Make (E) in
-    let r, _ = prepare ~telemetry:sink ?pool entry in
+    let r = prepare ~telemetry:sink entry in
     let args = if args = [] then entry.default_args else args in
     let src, target, dir =
       if backward then (r.P.fopt, r.P.fbase, Ctx.Opt_to_base)
@@ -352,7 +344,7 @@ let osr_run_cmd =
     let ctx = Ctx.make ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper dir in
     (* The full sweep classifies every point (and feeds the reconstruct
        counters); the chosen point's avail plan is then looked up in it. *)
-    let s = analyze_with ?pool ~telemetry:sink ctx in
+    let s = F.analyze ~telemetry:sink ?pool ctx in
     match List.find_opt (fun (rep : F.point_report) -> rep.point = at) s.reports with
     | None -> die (Tinyvm.Osr_error.No_such_point { func = src.Ir.fname; point = at })
     | Some { landing = None; _ } ->
@@ -407,38 +399,32 @@ let osr_run_cmd =
 (* --- debug-study ------------------------------------------------------ *)
 
 let debug_study_cmd =
-  let bench_name = Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCHMARK") in
-  let run name =
-    match Corpus.Spec_c.find name with
-    | None ->
-        Printf.eprintf "unknown study benchmark %S (try: %s)\n" name
-          (String.concat ", "
-             (List.map (fun (p : Corpus.Spec_c.profile) -> p.bench) Corpus.Spec_c.profiles))
-    | Some prof ->
-        List.iteri
-          (fun k (sf : Corpus.Spec_c.study_func) ->
-            let r = P.apply sf.fbase in
-            let rep =
-              Debuginfo.Endangered.analyze_function ~fbase:r.P.fbase ~fopt:r.P.fopt
-                ~mapper:r.P.mapper ~user_vars:sf.dbg.user_vars
-                ~source_points:sf.dbg.source_points
-            in
-            let show which =
-              match Debuginfo.Endangered.recoverability rep which with
-              | Some x -> Printf.sprintf "%.2f" x
-              | None -> "-"
-            in
-            Printf.printf
-              "fn%03d |fbase|=%4d points=%3d affected=%.2f recover(live)=%s recover(avail)=%s keep=%d\n"
-              k rep.base_size (List.length rep.points)
-              (Debuginfo.Endangered.affected_fraction rep)
-              (show `Live) (show `Avail)
-              (List.length (Debuginfo.Endangered.keep_set rep)))
-          (Corpus.Spec_c.functions_of prof)
+  let study_arg = Arg.(required & pos 0 (some study_conv) None & info [] ~docv:"BENCHMARK") in
+  let run prof =
+    List.iteri
+      (fun k (sf : Corpus.Spec_c.study_func) ->
+        let r = P.apply sf.fbase in
+        let rep =
+          Debuginfo.Endangered.analyze_function ~fbase:r.P.fbase ~fopt:r.P.fopt
+            ~mapper:r.P.mapper ~user_vars:sf.dbg.user_vars
+            ~source_points:sf.dbg.source_points
+        in
+        let show which =
+          match Debuginfo.Endangered.recoverability rep which with
+          | Some x -> Printf.sprintf "%.2f" x
+          | None -> "-"
+        in
+        Printf.printf
+          "fn%03d |fbase|=%4d points=%3d affected=%.2f recover(live)=%s recover(avail)=%s keep=%d\n"
+          k rep.base_size (List.length rep.points)
+          (Debuginfo.Endangered.affected_fraction rep)
+          (show `Live) (show `Avail)
+          (List.length (Debuginfo.Endangered.keep_set rep)))
+      (Corpus.Spec_c.functions_of prof)
   in
   Cmd.v
     (Cmd.info "debug-study" ~doc:"Section 7 endangered-variable study for one benchmark group.")
-    Term.(const run $ bench_name)
+    Term.(const run $ study_arg)
 
 let () =
   let doc = "TinyVM: MiniIR optimizer, interpreter and OSR playground" in

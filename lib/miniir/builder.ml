@@ -68,15 +68,10 @@ let binop ?reg ?hint (b : t) (op : Ir.binop) (x : Ir.value) (y : Ir.value) : Ir.
   emit ?reg ?hint b (Ir.Binop (op, x, y))
 
 let add ?reg ?hint b x y = binop ?reg ?hint b Ir.Add x y
-let sub ?reg ?hint b x y = binop ?reg ?hint b Ir.Sub x y
 let mul ?reg ?hint b x y = binop ?reg ?hint b Ir.Mul x y
-let sdiv ?reg ?hint b x y = binop ?reg ?hint b Ir.Sdiv x y
-let srem ?reg ?hint b x y = binop ?reg ?hint b Ir.Srem x y
 let band ?reg ?hint b x y = binop ?reg ?hint b Ir.And x y
 let bor ?reg ?hint b x y = binop ?reg ?hint b Ir.Or x y
 let bxor ?reg ?hint b x y = binop ?reg ?hint b Ir.Xor x y
-let shl ?reg ?hint b x y = binop ?reg ?hint b Ir.Shl x y
-let ashr ?reg ?hint b x y = binop ?reg ?hint b Ir.Ashr x y
 
 let icmp ?reg ?hint (b : t) (op : Ir.icmp) (x : Ir.value) (y : Ir.value) : Ir.value =
   emit ?reg ?hint b (Ir.Icmp (op, x, y))

@@ -83,8 +83,6 @@ let block_exn (t : t) (label : string) : Ir.block =
   | None ->
       invalid_arg (Printf.sprintf "Func_index.block_exn: no block %S in @%s" label t.func.fname)
 
-let find_instr (t : t) (id : int) : Ir.instr option = Hashtbl.find_opt t.instrs id
-
 let owner_of (t : t) (id : int) : string option = Hashtbl.find_opt t.owner id
 
 let position_of (t : t) (id : int) : (string * int) option = Hashtbl.find_opt t.positions id
@@ -97,8 +95,6 @@ let successors (t : t) (label : string) : string list =
   Option.value ~default:[] (Hashtbl.find_opt t.succs label)
 
 let is_param (t : t) (r : Ir.reg) : bool = Hashtbl.mem t.param_set r
-
-let def_of (t : t) (r : Ir.reg) : Ir.def_site option = Hashtbl.find_opt t.defs r
 
 (** The body of a block in execution order, as built.  φ-nodes excluded. *)
 let body_of (t : t) (label : string) : Ir.instr array =

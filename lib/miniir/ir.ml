@@ -309,5 +309,3 @@ let func_to_string (f : func) : string =
     f.blocks;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let pp_func ppf f = Fmt.string ppf (func_to_string f)

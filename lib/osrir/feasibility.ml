@@ -129,61 +129,51 @@ let summarize (reports : point_report list) : summary =
   in
   { total_points; empty; live_ok; avail_ok; reports }
 
-let analyze ?(config = Reconstruct_ir.default_config) ?(telemetry = Telemetry.null)
-    (t : Osr_ctx.t) : summary =
-  let fname = t.Osr_ctx.src.Osr_ctx.func.Ir.fname in
-  let points = Osr_ctx.source_points t in
-  let reports =
-    Telemetry.with_span telemetry ~cat:"analysis" "feasibility" @@ fun () ->
-    List.map (classify_point ~config ~telemetry t ~fname) points
-  in
-  summarize reports
-
-(** {!analyze} across a domain pool: the point list is cut into [chunk]-
-    sized slices, each slice classified by whichever domain claims it using
-    a domain-private {!Osr_ctx.fork} (fresh memo tables, shared read-only
+(** Classify every source point.  Without a pool (or with a 1-domain pool,
+    or a single slice) this is the sequential sweep: no forks, no merge, no
+    overhead.  With more domains the point list is cut into [chunk]-sized
+    slices, each classified by whichever domain claims it using a
+    domain-private {!Osr_ctx.fork} (fresh memo tables, shared read-only
     analyses — no locks on the hot path) and a task-private
     {!Telemetry.fork}.  Slices are concatenated and sub-sinks joined in
     slice order, so reports, counters and remarks are byte-equal to the
     sequential sweep's no matter the domain count or schedule — the
-    determinism contract [test/suite_parallel.ml] checks.  With one domain
-    (or one slice) this {e is} the sequential sweep: no forks, no merge,
-    no overhead. *)
-let analyze_par ?(config = Reconstruct_ir.default_config) ?(telemetry = Telemetry.null)
-    ~(pool : Parallel.Pool.t) ?(chunk = 64) (t : Osr_ctx.t) : summary =
+    determinism contract [test/suite_parallel.ml] checks. *)
+let analyze ?(config = Reconstruct_ir.default_config) ?(telemetry = Telemetry.null)
+    ?(pool : Parallel.Pool.t option) ?(chunk = 64) (t : Osr_ctx.t) : summary =
   let fname = t.Osr_ctx.src.Osr_ctx.func.Ir.fname in
-  let points = Array.of_list (Osr_ctx.source_points t) in
-  let n = Array.length points in
+  let points = Osr_ctx.source_points t in
   let chunk = max 1 chunk in
-  let nchunks = (n + chunk - 1) / chunk in
   let reports =
     Telemetry.with_span telemetry ~cat:"analysis" "feasibility" @@ fun () ->
-    if Parallel.Pool.jobs pool = 1 || nchunks <= 1 then
-      List.map (classify_point ~config ~telemetry t ~fname) (Array.to_list points)
-    else begin
-      (* Freeze the shared state from the owning domain before any worker
-         can touch it: forks created inside workers then only read. *)
-      ignore (Osr_ctx.fork t : Osr_ctx.t);
-      let sinks = Array.init nchunks (fun _ -> Telemetry.fork telemetry) in
-      let slices =
-        Parallel.Pool.run pool ~chunk:1
-          ~scratch:(fun () -> Osr_ctx.fork t)
-          (fun ctx ci ->
-            let lo = ci * chunk in
-            let hi = min n (lo + chunk) in
-            let sink = sinks.(ci) in
-            (* Ascending order inside the slice: remark emission order must
-               match the sequential sweep's. *)
-            let acc = ref [] in
-            for i = lo to hi - 1 do
-              acc := classify_point ~config ~telemetry:sink ctx ~fname points.(i) :: !acc
-            done;
-            List.rev !acc)
-          nchunks
-      in
-      Array.iter (Telemetry.join telemetry) sinks;
-      List.concat (Array.to_list slices)
-    end
+    match pool with
+    | Some pool when Parallel.Pool.jobs pool > 1 && List.compare_length_with points chunk > 0 ->
+        let points = Array.of_list points in
+        let n = Array.length points in
+        let nchunks = (n + chunk - 1) / chunk in
+        (* Freeze the shared state from the owning domain before any worker
+           can touch it: forks created inside workers then only read. *)
+        ignore (Osr_ctx.fork t : Osr_ctx.t);
+        let sinks = Array.init nchunks (fun _ -> Telemetry.fork telemetry) in
+        let slices =
+          Parallel.Pool.run pool ~chunk:1
+            ~scratch:(fun () -> Osr_ctx.fork t)
+            (fun ctx ci ->
+              let lo = ci * chunk in
+              let hi = min n (lo + chunk) in
+              let sink = sinks.(ci) in
+              (* Ascending order inside the slice: remark emission order must
+                 match the sequential sweep's. *)
+              let acc = ref [] in
+              for i = lo to hi - 1 do
+                acc := classify_point ~config ~telemetry:sink ctx ~fname points.(i) :: !acc
+              done;
+              List.rev !acc)
+            nchunks
+        in
+        Array.iter (Telemetry.join telemetry) sinks;
+        List.concat (Array.to_list slices)
+    | Some _ | None -> List.map (classify_point ~config ~telemetry t ~fname) points
   in
   summarize reports
 

@@ -120,7 +120,6 @@ let replace_use_in (m : t) ~(inst : Ir.instr) ~(old_value : Ir.value) ~(new_valu
 
 (* --- queries used by the OSR layer ---------------------------------- *)
 
-let is_deleted (m : t) (id : int) : bool = Hashtbl.mem m.deleted id
 let is_added (m : t) (id : int) : bool = Hashtbl.mem m.added id
 
 (** Resolve the replacement chain of a base-side register: the value that

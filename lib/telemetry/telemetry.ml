@@ -19,8 +19,9 @@
       never pays for message formatting.  Filterable by pass name.
 
     The {!null} sink is disabled and shared: instrumented code paths run at
-    full speed when nobody is watching (`bench/main.exe perf` guards the
-    disabled overhead).  Timing uses [Unix.gettimeofday] by default; tests
+    full speed when nobody is watching (`osrbench` runs untraced on the
+    null sink; its [--trace 1] half runs a live sink and reports the
+    difference as [trace.overhead_pct]).  Timing uses [Unix.gettimeofday] by default; tests
     inject a deterministic clock via {!create}.
 
     {b Domains.}  A sink is single-domain: all its operations must come
@@ -135,8 +136,6 @@ let create ?(clock = Unix.gettimeofday) () : sink =
     remarks = [];
     deltas = None;
   }
-
-let is_enabled (s : sink) : bool = s.enabled
 
 (** A buffered child of [parent] for one parallel task: enabled iff the
     parent is (forking the {!null} sink returns {!null} — the disabled

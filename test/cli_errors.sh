@@ -35,6 +35,21 @@ expect() {
   echo "ok   $name (exit $got)"
 }
 
+# expect_usage NAME CMD...: a command-line usage error, which exits 124 and
+# names the unknown value in a (multi-line) usage message.
+expect_usage() {
+  name=$1; shift
+  err=$("$@" 2>&1 >/dev/null)
+  got=$?
+  case "$got:$err" in
+    124:*unknown*) echo "ok   $name (exit $got)" ;;
+    *)
+      echo "FAIL $name: expected a usage error (exit 124), got $got" >&2
+      echo "     stderr: $err" >&2
+      fails=$((fails + 1)) ;;
+  esac
+}
+
 # Discover a feasible transition point dynamically so the script never
 # goes stale when the pipeline changes ("#NN -> #MM" with a landing).
 AT=$("$CLI" osr-points bzip2 | sed -n 's/^ *#\([0-9][0-9]*\) *-> *#[0-9].*/\1/p' | head -1)
@@ -57,6 +72,10 @@ expect "osr-run --fuel -> 14"  14 "$CLI" osr-run bzip2 --at "$AT" --fuel 10
 
 # A nonexistent program point is a typed error, not an abort() or a 125.
 expect "bad --at -> 16"        16 "$CLI" osr-run bzip2 --at 999999
+
+# An unknown name is a usage error (exit 124), for kernels and study groups alike.
+expect_usage "unknown kernel -> 124" "$CLI" run nosuchkernel
+expect_usage "unknown study -> 124"  "$CLI" debug-study nosuchstudy
 
 # Aborted-but-recovered runs (misfire/suppress keep the source alive).
 expect "suppress recovers"      0 "$CLI" osr-run bzip2 --at "$AT" --inject suppress

@@ -117,10 +117,15 @@ let kernel () =
   let fbase, _ = Corpus.Dsl.to_fbase e.kernel in
   P.apply fbase
 
+(* Each pooled driver is checked against its no-pool run at jobs=1 (the
+   inline path) and at jobs=4 (fork, shard, join). *)
+let with_each_pool (f : Pool.t -> unit) : unit =
+  List.iter (fun jobs -> Pool.with_pool ~jobs f) [ 1; 4 ]
+
 let test_sweep_differential () =
   let r = kernel () in
   let mk dir () = Ctx.make ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper dir in
-  Pool.with_pool ~jobs:4 @@ fun pool ->
+  with_each_pool @@ fun pool ->
   List.iter
     (fun dir ->
       T.reset_counters ();
@@ -130,7 +135,7 @@ let test_sweep_differential () =
       T.reset_counters ();
       let par_sink = T.create ~clock:(fake_clock ()) () in
       (* A small chunk so the point list really shards across tasks. *)
-      let s_par = F.analyze_par ~telemetry:par_sink ~pool ~chunk:8 (mk dir ()) in
+      let s_par = F.analyze ~telemetry:par_sink ~pool ~chunk:8 (mk dir ()) in
       let par_counters = T.counters_json () in
       Alcotest.(check bool) "reports byte-equal" true (s_seq = s_par);
       Alcotest.(check string) "merged counters byte-equal" seq_counters par_counters;
@@ -153,7 +158,7 @@ let test_apply_corpus_differential () =
       (fun (e : Corpus.Kernels.entry) -> fst (Corpus.Dsl.to_fbase e.kernel))
       (List.filteri (fun i _ -> i < 4) Corpus.Kernels.all)
   in
-  Pool.with_pool ~jobs:4 @@ fun pool ->
+  with_each_pool @@ fun pool ->
   T.reset_counters ();
   let seq_sink = T.create ~clock:(fake_clock ()) () in
   let seq = P.apply_corpus ~telemetry:seq_sink fbases in
