@@ -15,50 +15,20 @@ module P = Passes.Pass_manager
 module CM = Passes.Code_mapper
 module Ctx = Osrir.Osr_ctx
 module F = Osrir.Feasibility
+module S = Osrir.Session
 module R = Osrir.Reconstruct_ir
 
 (* ------------------------------------------------------------------ *)
-(* Shared per-kernel data, computed once                                *)
+(* Shared per-kernel sessions, computed once                            *)
 (* ------------------------------------------------------------------ *)
 
-type kernel_data = {
-  entry : Corpus.Kernels.entry;
-  fbase : Ir.func;
-  fopt : Ir.func;
-  mapper : CM.t;
-  per_pass : (string * CM.counts) list;
-  fwd : F.summary Lazy.t;  (** fbase → fopt feasibility *)
-  bwd : F.summary Lazy.t;  (** fopt → fbase feasibility *)
-}
-
-let build_kernel_data ?(telemetry = Telemetry.null) ?(pool : Parallel.Pool.t option)
-    (entries : Corpus.Kernels.entry list) : kernel_data list =
-  let prepared =
-    List.map
-      (fun (e : Corpus.Kernels.entry) -> (e, fst (Corpus.Dsl.to_fbase e.kernel)))
-      entries
-  in
-  let applied = P.apply_corpus ?pool ~telemetry (List.map snd prepared) in
-  List.map2
-    (fun ((entry : Corpus.Kernels.entry), _) (r : P.apply_result) ->
-      {
-        entry;
-        fbase = r.fbase;
-        fopt = r.fopt;
-        mapper = r.mapper;
-        per_pass = r.per_pass;
-        fwd =
-          lazy
-            (F.analyze ~telemetry
-               (Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Base_to_opt));
-        bwd =
-          lazy
-            (F.analyze ~telemetry
-               (Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Opt_to_base));
-      })
-    prepared applied
-
-let kernel_data : kernel_data list Lazy.t = lazy (build_kernel_data Corpus.Kernels.all)
+(** Each kernel's OSR session: the pass pipeline runs once per kernel,
+    each direction's sweep on first use. *)
+let kernels : (Corpus.Kernels.entry * S.t) list Lazy.t =
+  lazy
+    (List.map
+       (fun (e : Corpus.Kernels.entry) -> (e, S.create (fst (Corpus.Dsl.to_fbase e.kernel))))
+       Corpus.Kernels.all)
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: per-pass instrumentation statistics                         *)
@@ -116,11 +86,11 @@ let count_instrumentation rel =
 let table1 () =
   let actions_across_corpus name =
     List.fold_left
-      (fun acc kd ->
-        match List.assoc_opt name kd.per_pass with
+      (fun acc (_, s) ->
+        match List.assoc_opt name (S.result s).per_pass with
         | Some (c : CM.counts) -> acc + c.add + c.delete + c.hoist + c.sink + c.replace
         | None -> acc)
-      0 (Lazy.force kernel_data)
+      0 (Lazy.force kernels)
   in
   let rows =
     List.map
@@ -153,21 +123,22 @@ let table1 () =
 let table2 () =
   let rows =
     List.map
-      (fun kd ->
-        let c = CM.counts kd.mapper in
+      (fun ((e : Corpus.Kernels.entry), s) ->
+        let r = S.result s in
+        let c = CM.counts r.mapper in
         [
-          kd.entry.benchmark;
-          string_of_int (Ir.instr_count kd.fbase);
-          string_of_int (Ir.phi_count kd.fbase);
-          string_of_int (Ir.instr_count kd.fopt);
-          string_of_int (Ir.phi_count kd.fopt);
+          e.benchmark;
+          string_of_int (Ir.instr_count r.fbase);
+          string_of_int (Ir.phi_count r.fbase);
+          string_of_int (Ir.instr_count r.fopt);
+          string_of_int (Ir.phi_count r.fopt);
           string_of_int c.add;
           string_of_int c.delete;
           string_of_int c.hoist;
           string_of_int c.sink;
           string_of_int c.replace;
         ])
-      (Lazy.force kernel_data)
+      (Lazy.force kernels)
   in
   print_string
     (Report.table
@@ -182,14 +153,13 @@ let table2 () =
 (* Figures 7/8: feasible OSR point breakdown                            *)
 (* ------------------------------------------------------------------ *)
 
-let figure ~title which () =
+let figure ~title dir () =
   let entries =
     List.map
-      (fun kd ->
-        let s = Lazy.force (which kd) in
-        let empty, live, avail = F.percentages s in
-        (kd.entry.benchmark, [ ('.', empty); ('#', live); ('+', avail) ]))
-      (Lazy.force kernel_data)
+      (fun ((e : Corpus.Kernels.entry), s) ->
+        let empty, live, avail = F.percentages (S.summary s dir) in
+        (e.benchmark, [ ('.', empty); ('#', live); ('+', avail) ]))
+      (Lazy.force kernels)
   in
   print_string (Report.stacked_bars ~title entries);
   print_newline ()
@@ -199,14 +169,14 @@ let fig7 =
     ~title:
       "Figure 7 - Breakdown of feasible fbase -> fopt OSR points\n\
        (. = c is empty, # = live reconstructs, + = avail reconstructs)"
-    (fun kd -> kd.fwd)
+    Ctx.Base_to_opt
 
 let fig8 =
   figure
     ~title:
       "Figure 8 - Breakdown of feasible fopt -> fbase OSR points\n\
        (. = c is empty, # = live reconstructs, + = avail reconstructs)"
-    (fun kd -> kd.bwd)
+    Ctx.Opt_to_base
 
 (* ------------------------------------------------------------------ *)
 (* Table 3: compensation-code and keep-set sizes                        *)
@@ -216,8 +186,8 @@ let table3 () =
   let f2 = Report.fmt_float in
   let rows =
     List.map
-      (fun kd ->
-        let fwd = Lazy.force kd.fwd and bwd = Lazy.force kd.bwd in
+      (fun ((e : Corpus.Kernels.entry), s) ->
+        let fwd = S.summary s Ctx.Base_to_opt and bwd = S.summary s Ctx.Opt_to_base in
         let favg_l, fmax_l = F.comp_stats fwd `Live in
         let favg_a, fmax_a = F.comp_stats fwd `Avail in
         let fkavg, fkmax = F.keep_stats fwd in
@@ -225,7 +195,7 @@ let table3 () =
         let bavg_a, bmax_a = F.comp_stats bwd `Avail in
         let bkavg, bkmax = F.keep_stats bwd in
         [
-          kd.entry.benchmark;
+          e.benchmark;
           f2 favg_l; string_of_int fmax_l;
           f2 favg_a; string_of_int fmax_a;
           f2 fkavg; string_of_int fkmax;
@@ -233,7 +203,7 @@ let table3 () =
           f2 bavg_a; string_of_int bmax_a;
           f2 bkavg; string_of_int bkmax;
         ])
-      (Lazy.force kernel_data)
+      (Lazy.force kernels)
   in
   print_string
     (Report.table
@@ -380,19 +350,17 @@ let table5 () =
 (* ------------------------------------------------------------------ *)
 
 (** One full fwd+bwd sweep over the corpus, through [pool] when given:
-    fresh contexts every run (the per-version side analyses are built
-    serially in the caller's domain), point classification sharded across
-    the pool.  Returns total points classified. *)
-let sweep ?pool ?(telemetry = Telemetry.null) (kds : kernel_data list) : int =
+    a fresh session over each kernel's pipeline result every run (the
+    per-version side analyses are built serially in the caller's domain),
+    point classification sharded across the pool.  Returns total points
+    classified. *)
+let sweep ?pool ?telemetry (results : P.apply_result list) : int =
   List.fold_left
-    (fun acc kd ->
-      let fwd_ctx, bwd_ctx =
-        Ctx.make_pair ~fbase:kd.fbase ~fopt:kd.fopt ~mapper:kd.mapper ()
-      in
-      let fwd = F.analyze ~telemetry ?pool fwd_ctx in
-      let bwd = F.analyze ~telemetry ?pool bwd_ctx in
-      acc + fwd.F.total_points + bwd.F.total_points)
-    0 kds
+    (fun acc r ->
+      let s = S.of_result ?telemetry r in
+      acc + (S.summary ?pool s Ctx.Base_to_opt).total_points
+      + (S.summary ?pool s Ctx.Opt_to_base).total_points)
+    0 results
 
 (** One warm-up run, then best of three. *)
 let best_of_3 (f : unit -> int) : int * float =
@@ -447,7 +415,7 @@ let write_parallel_json path ~cores ~seq_points ~seq_wall
   close_out oc
 
 let parallel_perf () =
-  let kds = Lazy.force kernel_data in
+  let kds = List.map (fun (_, s) -> S.result s) (Lazy.force kernels) in
   let cores = Domain.recommended_domain_count () in
   let seq_points, seq_wall = best_of_3 (fun () -> sweep kds) in
   let js = List.sort_uniq compare [ 1; 2; 4; cores ] in
@@ -518,6 +486,9 @@ let smoke () =
      ones byte-for-byte on a small corpus before the perf numbers mean
      anything. *)
   let entries2 = List.filteri (fun i _ -> i < 2) Corpus.Kernels.all in
+  let fbases2 =
+    List.map (fun (e : Corpus.Kernels.entry) -> fst (Corpus.Dsl.to_fbase e.kernel)) entries2
+  in
   Parallel.Pool.with_pool ~jobs:2 (fun pool ->
       let squares =
         Parallel.Pool.run pool ~scratch:(fun () -> ()) (fun () i -> i * i) 64
@@ -525,29 +496,24 @@ let smoke () =
       Array.iteri
         (fun i v -> if v <> i * i then fail "pool run: slot %d holds %d" i v)
         squares;
-      let seq_kds = build_kernel_data entries2 in
-      let par_kds = build_kernel_data ~pool entries2 in
+      let seq = P.apply_corpus fbases2 in
+      let par = P.apply_corpus ~pool fbases2 in
       List.iter2
-        (fun a b ->
+        (fun ((e : Corpus.Kernels.entry), (a : P.apply_result)) (b : P.apply_result) ->
           if Ir.func_to_string a.fopt <> Ir.func_to_string b.fopt then
-            fail "parallel pass pipeline produced different IR for %s" a.entry.benchmark)
-        seq_kds par_kds;
-      List.iter
-        (fun kd ->
-          let mk () =
-            Ctx.make ~fbase:kd.fbase ~fopt:kd.fopt ~mapper:kd.mapper Ctx.Base_to_opt
-          in
+            fail "parallel pass pipeline produced different IR for %s" e.benchmark;
+          (* Each sweep gets a fresh context of its own. *)
+          let ctx () = S.ctx (S.of_result a) Ctx.Base_to_opt in
           Telemetry.reset_counters ();
-          let s_seq = F.analyze ~telemetry:(Telemetry.create ()) (mk ()) in
+          let s_seq = F.analyze ~telemetry:(Telemetry.create ()) (ctx ()) in
           let c_seq = Telemetry.counters_json () in
           Telemetry.reset_counters ();
-          let s_par = F.analyze ~telemetry:(Telemetry.create ()) ~pool ~chunk:16 (mk ()) in
+          let s_par = F.analyze ~telemetry:(Telemetry.create ()) ~pool ~chunk:16 (ctx ()) in
           let c_par = Telemetry.counters_json () in
           if s_seq <> s_par then
-            fail "parallel sweep summary differs from sequential for %s" kd.entry.benchmark;
-          if c_seq <> c_par then
-            fail "merged counters differ from sequential for %s" kd.entry.benchmark)
-        seq_kds);
+            fail "parallel sweep summary differs from sequential for %s" e.benchmark;
+          if c_seq <> c_par then fail "merged counters differ from sequential for %s" e.benchmark)
+        (List.combine entries2 seq) par);
   (* The BENCH_parallel.json writer must emit loadable JSON. *)
   let ppath = Filename.temp_file "osr_par_smoke" ".json" in
   write_parallel_json ppath ~cores:2 ~seq_points:100 ~seq_wall:1.0
@@ -564,15 +530,18 @@ let smoke () =
       | _ -> fail "parallel bench JSON lacks \"sequential\"/\"pool\""));
   let sink = Telemetry.create () in
   Telemetry.reset_counters ();
-  let kds = build_kernel_data ~telemetry:sink entries2 in
-  if List.length kds <> 2 then fail "expected 2 kernels, corpus has %d" (List.length kds);
+  if List.length entries2 <> 2 then
+    fail "expected 2 kernels, corpus has %d" (List.length entries2);
   let points =
-    List.fold_left
-      (fun acc kd ->
-        let n = (Lazy.force kd.fwd).F.total_points + (Lazy.force kd.bwd).F.total_points in
-        if n <= 0 then fail "kernel %s swept 0 points" kd.entry.benchmark;
+    List.fold_left2
+      (fun acc (e : Corpus.Kernels.entry) fbase ->
+        let s = S.create ~telemetry:sink fbase in
+        let n =
+          (S.summary s Ctx.Base_to_opt).total_points + (S.summary s Ctx.Opt_to_base).total_points
+        in
+        if n <= 0 then fail "kernel %s swept 0 points" e.benchmark;
         acc + n)
-      0 kds
+      0 entries2 fbases2
   in
   let path = Filename.temp_file "osr_trace_smoke" ".json" in
   Telemetry.write_chrome_trace sink path;
@@ -598,7 +567,7 @@ let smoke () =
   | Ok _ -> ());
   if Telemetry.nonzero_counters () = [] then fail "no counters bumped";
   Printf.printf "bench smoke OK: %d kernels, %d points, %d trace events, %d nonzero counters\n"
-    (List.length kds) points
+    (List.length entries2) points
     (List.length (Telemetry.trace_events sink))
     (List.length (Telemetry.nonzero_counters ()))
 
@@ -618,20 +587,14 @@ let ablate () =
   in
   let rows =
     List.concat_map
-      (fun kd ->
+      (fun ((e : Corpus.Kernels.entry), session) ->
         List.map
           (fun (cname, config) ->
-            let s =
-              F.analyze ~config
-                (Ctx.make ~fbase:kd.fbase ~fopt:kd.fopt ~mapper:kd.mapper Ctx.Base_to_opt)
-            in
-            let b =
-              F.analyze ~config
-                (Ctx.make ~fbase:kd.fbase ~fopt:kd.fopt ~mapper:kd.mapper Ctx.Opt_to_base)
-            in
+            let s = F.analyze ~config (S.ctx session Ctx.Base_to_opt) in
+            let b = F.analyze ~config (S.ctx session Ctx.Opt_to_base) in
             let pct n total = 100.0 *. float_of_int n /. float_of_int (max 1 total) in
             [
-              kd.entry.benchmark;
+              e.benchmark;
               cname;
               Report.fmt_float ~digits:1 (pct s.live_ok s.total_points);
               Report.fmt_float ~digits:1 (pct s.avail_ok s.total_points);
@@ -639,7 +602,7 @@ let ablate () =
               Report.fmt_float ~digits:1 (pct b.avail_ok b.total_points);
             ])
           configs)
-      (List.filteri (fun i _ -> i < 6) (Lazy.force kernel_data))
+      (List.filteri (fun i _ -> i < 6) (Lazy.force kernels))
   in
   print_string
     (Report.table

@@ -16,6 +16,7 @@ module Ir = Miniir.Ir
 module P = Passes.Pass_manager
 module Ctx = Osrir.Osr_ctx
 module F = Osrir.Feasibility
+module S = Osrir.Session
 module R = Osrir.Reconstruct_ir
 module Interp = Tinyvm.Interp
 
@@ -109,6 +110,10 @@ let die (e : Tinyvm.Osr_error.t) : 'a =
 let guarded (f : unit -> unit) : unit =
   try f () with Tinyvm.Osr_error.Error e -> die e
 
+(* An IR file that does not parse or is not valid SSA: one-line diagnostic,
+   exit 19 (see README "Exit codes"). *)
+let bad_ir fmt = Printf.ksprintf (fun m -> Printf.eprintf "tinyvm: %s\n" m; exit 19) fmt
+
 (* --- telemetry flags, shared by the working commands ------------------ *)
 
 type telem_opts = {
@@ -177,9 +182,6 @@ let with_telemetry (o : telem_opts) (f : Telemetry.sink -> unit) : unit =
       Printf.printf "wrote %s (%d events)\n" path (List.length (Telemetry.trace_events sink)))
     o.trace_out
 
-let prepare ?telemetry (e : Corpus.Kernels.entry) : P.apply_result =
-  P.apply ?telemetry (fst (Corpus.Dsl.to_fbase e.kernel))
-
 (* --- list ----------------------------------------------------------- *)
 
 let list_cmd =
@@ -197,8 +199,8 @@ let list_cmd =
 (* --- show ----------------------------------------------------------- *)
 
 let show_cmd =
-  let run entry opt =
-    let r = prepare entry in
+  let run (entry : Corpus.Kernels.entry) opt =
+    let r = P.apply (fst (Corpus.Dsl.to_fbase entry.kernel)) in
     print_string (Ir.func_to_string (if opt then r.P.fopt else r.P.fbase))
   in
   Cmd.v
@@ -212,7 +214,7 @@ let run_cmd =
     guarded @@ fun () ->
     with_telemetry telem @@ fun sink ->
     let (module E : Tinyvm.Engine.S) = engine_mod engine in
-    let r = prepare ~telemetry:sink entry in
+    let r = P.apply ~telemetry:sink (fst (Corpus.Dsl.to_fbase entry.kernel)) in
     let f = if opt then r.P.fopt else r.P.fbase in
     let args = if args = [] then entry.default_args else args in
     match
@@ -243,8 +245,13 @@ let opt_cmd =
   let run path telem =
     with_telemetry telem @@ fun sink ->
     let src = In_channel.with_open_text path In_channel.input_all in
-    let f = Miniir.Ir_parser.parse_func src in
-    Miniir.Verifier.verify_exn f;
+    let f =
+      try Miniir.Ir_parser.parse_func src
+      with Miniir.Ir_parser.Parse_error (msg, line) -> bad_ir "%s:%d: %s" path line msg
+    in
+    (match Miniir.Verifier.verify f with
+    | Ok () -> ()
+    | Error es -> bad_ir "%s: %s" path (Fmt.str "%a" Miniir.Verifier.pp_error (List.hd es)));
     let r = P.apply ~telemetry:sink f in
     print_string (Ir.func_to_string r.P.fopt);
     Printf.printf "; actions: %d\n"
@@ -260,10 +267,8 @@ let osr_points_cmd =
   let run (entry : Corpus.Kernels.entry) backward jobs telem =
     with_pool jobs @@ fun pool ->
     with_telemetry telem @@ fun sink ->
-    let r = prepare ~telemetry:sink entry in
-    let dir = if backward then Ctx.Opt_to_base else Ctx.Base_to_opt in
-    let ctx = Ctx.make ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper dir in
-    let s = F.analyze ~telemetry:sink ?pool ctx in
+    let session = S.create ~telemetry:sink (fst (Corpus.Dsl.to_fbase entry.kernel)) in
+    let s = S.summary ?pool session (if backward then Ctx.Opt_to_base else Ctx.Base_to_opt) in
     Printf.printf "%s, %s: %d points — %d with empty c, %d live-feasible, %d avail-feasible\n"
       entry.benchmark
       (if backward then "fopt → fbase" else "fbase → fopt")
@@ -329,46 +334,44 @@ let osr_run_cmd =
     with_telemetry telem @@ fun sink ->
     let (module E : Tinyvm.Engine.S) = engine_mod engine in
     let module Rt = Osrir.Osr_runtime.Make (E) in
-    let r = prepare ~telemetry:sink entry in
+    let session = S.create ~telemetry:sink (fst (Corpus.Dsl.to_fbase entry.kernel)) in
     let args = if args = [] then entry.default_args else args in
-    let src, target, dir =
-      if backward then (r.P.fopt, r.P.fbase, Ctx.Opt_to_base)
-      else (r.P.fbase, r.P.fopt, Ctx.Base_to_opt)
-    in
+    let dir = if backward then Ctx.Opt_to_base else Ctx.Base_to_opt in
     let hooks =
       match (inject, seed) with
       | Some k, s -> Osrir.Fault.hooks ~only:k (Osrir.Fault.make ~seed:(Option.value s ~default:0))
       | None, Some s -> Osrir.Fault.hooks (Osrir.Fault.make ~seed:s)
       | None, None -> Osrir.Osr_runtime.no_hooks
     in
-    let ctx = Ctx.make ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper dir in
     (* The full sweep classifies every point (and feeds the reconstruct
        counters); the chosen point's avail plan is then looked up in it. *)
-    let s = F.analyze ~telemetry:sink ?pool ctx in
-    match List.find_opt (fun (rep : F.point_report) -> rep.point = at) s.reports with
-    | None -> die (Tinyvm.Osr_error.No_such_point { func = src.Ir.fname; point = at })
-    | Some { landing = None; _ } ->
+    let s = S.summary ?pool session dir in
+    match List.find_opt (fun (t : S.transition) -> t.point = at) (S.transitions session dir) with
+    | None ->
+        let func = (S.ctx session dir).src.func.Ir.fname in
         die
-          (Tinyvm.Osr_error.Reconstruct_failed
-             { func = src.Ir.fname; at; what = "no landing correspondence" })
-    | Some { landing = Some landing; avail_plan = None; _ } ->
-        die
-          (Tinyvm.Osr_error.Reconstruct_failed
-             {
-               func = src.Ir.fname;
-               at;
-               what =
-                 Printf.sprintf "reconstruction fails (landing #%d); run with --remarks for why"
-                   landing;
-             })
-    | Some { landing = Some landing; avail_plan = Some plan; _ } -> (
+          (match List.find_opt (fun (rep : F.point_report) -> rep.point = at) s.reports with
+          | None -> Tinyvm.Osr_error.No_such_point { func; point = at }
+          | Some { landing = None; _ } ->
+              Tinyvm.Osr_error.Reconstruct_failed
+                { func; at; what = "no landing correspondence" }
+          | Some { landing = Some landing; _ } ->
+              Tinyvm.Osr_error.Reconstruct_failed
+                {
+                  func;
+                  at;
+                  what =
+                    Printf.sprintf
+                      "reconstruction fails (landing #%d); run with --remarks for why" landing;
+                })
+    | Some { src; target; landing; plan; _ } -> (
         Printf.printf "transition #%d -> #%d: %d transfers, |c|=%d, keep={%s}\n" at landing
           (List.length plan.transfers) (R.comp_size plan)
           (String.concat ", " plan.keep);
         let reference = E.run ?fuel src ~args in
         let result, osr =
-          Rt.run_transition_full ?fuel ~hooks ~telemetry:sink ~arrival ~src ~args ~at
-            ~target ~landing plan
+          Rt.run_transition ?fuel ~hooks ~telemetry:sink ~arrival ~src ~args ~at ~target
+            ~landing plan
         in
         Fmt.pr "reference : %a@." Interp.pp_result reference;
         Fmt.pr "with OSR  : %a@." Interp.pp_result result;

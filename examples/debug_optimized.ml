@@ -12,8 +12,8 @@
     same source location. *)
 
 module Ir = Miniir.Ir
-module P = Passes.Pass_manager
 module Ctx = Osrir.Osr_ctx
+module S = Osrir.Session
 module R = Osrir.Reconstruct_ir
 module Interp = Tinyvm.Interp
 module E = Debuginfo.Endangered
@@ -23,7 +23,8 @@ let args = [ 4; 555 ]
 let () =
   let entry = Option.get (Corpus.Kernels.find "sjeng") in
   let fbase, dbg = Corpus.Dsl.to_fbase entry.kernel in
-  let r = P.apply fbase in
+  let session = S.create fbase in
+  let r = S.result session in
   let report =
     E.analyze_function ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper ~user_vars:dbg.user_vars
       ~source_points:dbg.source_points
@@ -55,7 +56,7 @@ let () =
   | None -> failwith "source point not reached in fbase"
   | Some _ -> ());
 
-  let bwd = Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Opt_to_base in
+  let bwd = S.ctx session Ctx.Opt_to_base in
   List.iter
     (fun (v : E.var_status) ->
       let expected = Hashtbl.find_opt ref_machine.frame v.carrier in
@@ -71,22 +72,13 @@ let () =
             (Ctx.source_candidates bwd v.carrier)
         else begin
           (* Run the recovery plan for just this variable. *)
-          let st = R.fresh_state () in
           match
-            R.build bwd R.Avail st ~src_point:bp.opt_point ~landing:bp.base_point v.carrier
+            E.recovery_plan bwd R.Avail ~opt_point:bp.opt_point ~base_point:bp.base_point
+              v.carrier
           with
-          | exception R.Undef _ -> None
-          | _ -> (
-              let plan =
-                {
-                  R.transfers = List.rev st.transfers;
-                  comp = List.rev st.comp;
-                  keep = st.keep;
-                }
-              in
-              match
-                R.eval_plan plan ~src_frame:machine.frame ~memory:machine.memory
-              with
+          | None -> None
+          | Some plan -> (
+              match R.eval_plan plan ~src_frame:machine.frame ~memory:machine.memory with
               | Ok env -> Hashtbl.find_opt env v.carrier
               | Error _ -> None)
         end

@@ -10,10 +10,8 @@
     arrival at which to divert to the other version.  All diversified runs
     must be observationally identical to the undiversified one. *)
 
-module Ir = Miniir.Ir
-module P = Passes.Pass_manager
 module Ctx = Osrir.Osr_ctx
-module F = Osrir.Feasibility
+module S = Osrir.Session
 module Interp = Tinyvm.Interp
 module Rt = Osrir.Osr_runtime
 
@@ -22,32 +20,23 @@ let runs = 12
 let () =
   let entry = Option.get (Corpus.Kernels.find "fhourstones") in
   let fbase, _ = Corpus.Dsl.to_fbase entry.kernel in
-  let r = P.apply fbase in
-  let fwd = Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Base_to_opt in
-  let bwd = Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Opt_to_base in
-  let feasible ctx =
-    List.filter_map
-      (fun (rep : F.point_report) ->
-        match (rep.landing, rep.avail_plan) with
-        | Some l, Some p -> Some (rep.point, l, p)
-        | _ -> None)
-      (F.analyze ctx).reports
-  in
-  let fwd_sites = feasible fwd and bwd_sites = feasible bwd in
+  let session = S.create fbase in
+  let fwd_sites = S.transitions session Ctx.Base_to_opt
+  and bwd_sites = S.transitions session Ctx.Opt_to_base in
   Printf.printf "kernel %s: %d divert points baseline->optimized, %d optimized->baseline\n"
     entry.kernel.kname (List.length fwd_sites) (List.length bwd_sites);
-  let reference = Interp.run r.fbase ~args:entry.default_args in
+  let reference = Interp.run fbase ~args:entry.default_args in
   Fmt.pr "reference: %a@." Interp.pp_result reference;
   let rng = Random.State.make [| 0xD1CE |] in
   let all_equal = ref true in
   for k = 1 to runs do
     let start_base = Random.State.bool rng in
-    let src, target, sites =
-      if start_base then (r.fbase, r.fopt, fwd_sites) else (r.fopt, r.fbase, bwd_sites)
+    let sites = if start_base then fwd_sites else bwd_sites in
+    let { S.src; target; point = at; landing; plan } =
+      List.nth sites (Random.State.int rng (List.length sites))
     in
-    let at, landing, plan = List.nth sites (Random.State.int rng (List.length sites)) in
     let arrival = Random.State.int rng 3 in
-    let result =
+    let result, _ =
       Rt.run_transition ~arrival ~src ~args:entry.default_args ~at ~target ~landing plan
     in
     let ok = Interp.equal_result reference result in

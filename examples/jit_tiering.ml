@@ -9,9 +9,8 @@
     losing the partially accumulated state — and finishes there. *)
 
 module Ir = Miniir.Ir
-module P = Passes.Pass_manager
 module Ctx = Osrir.Osr_ctx
-module F = Osrir.Feasibility
+module S = Osrir.Session
 module R = Osrir.Reconstruct_ir
 module Interp = Tinyvm.Interp
 module Rt = Osrir.Osr_runtime
@@ -21,26 +20,18 @@ let hot_threshold = 20
 let () =
   let entry = Option.get (Corpus.Kernels.find "hmmer") in
   let fbase, _ = Corpus.Dsl.to_fbase entry.kernel in
-  let r = P.apply fbase in
+  let session = S.create fbase in
+  let r = S.result session in
   Printf.printf "kernel: %s  (|fbase| = %d, |fopt| = %d)\n" entry.kernel.kname
     (Ir.instr_count r.fbase) (Ir.instr_count r.fopt);
 
   (* Arm an OSR site at the inner-loop accumulator update: fire once the
      point has been hit [hot_threshold] times. *)
-  let ctx = Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Base_to_opt in
-  let s = F.analyze ctx in
-  let site_point, landing, plan =
+  let { S.point = site_point; landing; plan; _ } =
     (* Use the most frequently executed feasible point: probe candidates
        dynamically and pick the one with the most arrivals. *)
-    let feasible =
-      List.filter_map
-        (fun (rep : F.point_report) ->
-          match (rep.landing, rep.avail_plan) with
-          | Some l, Some p -> Some (rep.point, l, p)
-          | _ -> None)
-        s.reports
-    in
-    let arrivals (point, _, _) =
+    let arrivals (t : S.transition) =
+      let point = t.point in
       let m = Interp.create r.fbase ~args:entry.default_args in
       let count = ref 0 in
       let rec go budget =
@@ -56,7 +47,9 @@ let () =
       !count
     in
     match
-      List.stable_sort (fun a b -> compare (arrivals b) (arrivals a)) feasible
+      List.stable_sort
+        (fun a b -> compare (arrivals b) (arrivals a))
+        (S.transitions session Ctx.Base_to_opt)
     with
     | best :: _ -> best
     | [] -> failwith "no feasible OSR point"

@@ -14,7 +14,7 @@ module Ir = Miniir.Ir
 module Builder = Miniir.Builder
 module P = Passes.Pass_manager
 module Ctx = Osrir.Osr_ctx
-module F = Osrir.Feasibility
+module S = Osrir.Session
 module R = Osrir.Reconstruct_ir
 module Interp = Tinyvm.Interp
 
@@ -54,42 +54,32 @@ let () =
     (Ir.phi_count fbase) (Ir.func_to_string fbase);
 
   print_endline "== 2. Optimize with the OSR-aware pipeline ==";
-  let r = P.apply fbase in
+  let session = S.create fbase in
+  let r = S.result session in
   Printf.printf "fopt (%d instructions):\n%s\n" (Ir.instr_count r.fopt)
     (Ir.func_to_string r.fopt);
   Printf.printf "actions recorded: %d\n\n"
     (List.length (Passes.Code_mapper.actions_in_order r.mapper));
 
   print_endline "== 3. Where can OSR fire? ==";
-  let ctx = Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Base_to_opt in
-  let s = F.analyze ctx in
+  let s = S.summary session Ctx.Base_to_opt in
   Printf.printf "fbase -> fopt: %d points, %d empty-c, %d live, %d avail\n\n" s.total_points
     s.empty s.live_ok s.avail_ok;
 
   print_endline "== 4. Fire a transition mid-loop ==";
   (* Pick a point inside the loop body: the accumulator update. *)
-  let point =
-    let candidates =
-      List.filter
-        (fun (rep : F.point_report) -> rep.classification <> F.Infeasible)
-        s.reports
-    in
-    (List.nth candidates (List.length candidates / 2)).point
+  let t =
+    let ts = S.transitions session Ctx.Base_to_opt in
+    List.nth ts (List.length ts / 2)
   in
-  match Ctx.landing_point ctx point with
-  | None -> failwith "no landing"
-  | Some landing -> (
-      match R.for_point_pair ~variant:R.Avail ctx ~src_point:point ~landing with
-      | Error x -> failwith ("reconstruct failed on " ^ x)
-      | Ok plan ->
-          Printf.printf "transition at #%d -> #%d, transfers=%d, |c|=%d\n" point landing
-            (List.length plan.transfers) (R.comp_size plan);
-          let args = [ 10; 3 ] in
-          let reference = Interp.run r.fbase ~args in
-          let osr =
-            Osrir.Osr_runtime.run_transition ~arrival:2 ~src:r.fbase ~args ~at:point
-              ~target:r.fopt ~landing plan
-          in
-          Fmt.pr "reference: %a@." Interp.pp_result reference;
-          Fmt.pr "with OSR : %a@." Interp.pp_result osr;
-          Fmt.pr "equal    : %b@." (Interp.equal_result reference osr))
+  Printf.printf "transition at #%d -> #%d, transfers=%d, |c|=%d\n" t.point t.landing
+    (List.length t.plan.transfers) (R.comp_size t.plan);
+  let args = [ 10; 3 ] in
+  let reference = Interp.run t.src ~args in
+  let osr, _ =
+    Osrir.Osr_runtime.run_transition ~arrival:2 ~src:t.src ~args ~at:t.point ~target:t.target
+      ~landing:t.landing t.plan
+  in
+  Fmt.pr "reference: %a@." Interp.pp_result reference;
+  Fmt.pr "with OSR : %a@." Interp.pp_result osr;
+  Fmt.pr "equal    : %b@." (Interp.equal_result reference osr)

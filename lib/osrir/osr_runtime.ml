@@ -28,7 +28,9 @@ open Import
     {!Tinyvm.Engine.S} (the reference interpreter or the compiled
     slot-register engine).  The top level of this module is the
     reference-engine instantiation — the historical API — and {!Compiled}
-    is the compiled-engine one. *)
+    is the compiled-engine one; all three have the signature {!S}.  Armed
+    points live in a direct-indexed [site option array] keyed by
+    instruction id — O(1) per step, one guard evaluation per arrival. *)
 
 module Engine = Tinyvm.Engine
 
@@ -44,6 +46,7 @@ type transition_stats = {
 }
 
 type abort = { abort_at : int; reason : Osr_error.t }
+(** One aborted (rolled-back) transition attempt. *)
 
 type osr_outcome = {
   transition : transition_stats option;  (** the committed transition, if any *)
@@ -88,7 +91,52 @@ let stat_aborted =
   Telemetry.counter ~group:"osr" "transition.aborted"
     ~desc:"OSR transitions aborted and rolled back"
 
-module Make (E : Engine.S) = struct
+(** The runtime over one engine's machines. *)
+module type S = sig
+  type machine
+
+  val fire :
+    ?hooks:hooks -> ?validate:bool -> machine -> machine gsite -> (machine, Osr_error.t) result
+  (** Attempt the transition transactionally: build the continuation
+      machine on the shared memory, run χ to the landing point, validate
+      the reconstructed frame.  [Ok] is the continuation paused at the
+      landing point, committed.  [Error] means the attempt was rolled
+      back — memory restored, source machine untouched. *)
+
+  val run_with_osr :
+    ?fuel:int ->
+    ?validate:bool ->
+    ?hooks:hooks ->
+    machine ->
+    machine gsite list ->
+    (Interp.outcome, Interp.trap) result * osr_outcome
+  (** Run the machine, transferring control at the first armed point whose
+      guard fires and whose transition commits; continue in the
+      continuation to completion.  Aborted attempts disarm their site and
+      leave the source run observably untouched.  Events observed before
+      the transition belong to the activation. *)
+
+  val run_transition :
+    ?fuel:int ->
+    ?arrival:int ->
+    ?validate:bool ->
+    ?hooks:hooks ->
+    ?telemetry:Telemetry.sink ->
+    src:Ir.func ->
+    args:int list ->
+    at:int ->
+    target:Ir.func ->
+    landing:int ->
+    Reconstruct_ir.plan ->
+    (Interp.outcome, Interp.trap) result * osr_outcome
+  (** One-shot helper: run [src], transition at the [arrival]-th dynamic
+      arrival at [at] into [target] at [landing] using [plan]; also report
+      what the OSR machinery did. *)
+end
+
+module Make (E : Engine.S) : S with type machine = E.machine = struct
+  type machine = E.machine
+
   (* Evaluate the parameter sources in the source frame. *)
   let eval_sources (m : E.machine) ~(at : int) (sources : Ir.value list) :
       (int list, Osr_error.t) result =
@@ -325,7 +373,7 @@ module Make (E : Engine.S) = struct
       point [at] into [target] at [landing] using [plan].  Returns the
       final result plus what the OSR machinery did (committed transition,
       aborted attempts). *)
-  let run_transition_full ?(fuel = 10_000_000) ?(arrival = 0) ?(validate = true)
+  let run_transition ?(fuel = 10_000_000) ?(arrival = 0) ?(validate = true)
       ?(hooks = no_hooks) ?telemetry ~(src : Ir.func) ~(args : int list) ~(at : int)
       ~(target : Ir.func) ~(landing : int) (plan : Reconstruct_ir.plan) :
       (Interp.outcome, Interp.trap) result * osr_outcome =
@@ -338,19 +386,10 @@ module Make (E : Engine.S) = struct
       hit
     in
     run_with_osr ~fuel ~validate ~hooks machine [ { at; guard; cont } ]
-
-  (** [run_transition_full] without the OSR outcome (the historical API). *)
-  let run_transition ?fuel ?arrival ?validate ?hooks ?telemetry ~src ~args ~at ~target
-      ~landing plan : (Interp.outcome, Interp.trap) result =
-    fst
-      (run_transition_full ?fuel ?arrival ?validate ?hooks ?telemetry ~src ~args ~at
-         ~target ~landing plan)
 end
 
-(* The historical reference-engine API, unchanged for existing callers. *)
-include Make (Engine.Reference)
-
-type site = Interp.machine gsite
+(* The reference-engine runtime (the historical top-level API). *)
+include (Make (Engine.Reference) : S with type machine = Interp.machine)
 
 (* The compiled-engine runtime. *)
 module Compiled = Make (Engine.Compiled)

@@ -77,6 +77,15 @@ expect "bad --at -> 16"        16 "$CLI" osr-run bzip2 --at 999999
 expect_usage "unknown kernel -> 124" "$CLI" run nosuchkernel
 expect_usage "unknown study -> 124"  "$CLI" debug-study nosuchstudy
 
+# A bad IR file is a one-line diagnostic with exit 19: a syntax error
+# names FILE:LINE, non-SSA input its first verifier error.
+TMP=$(mktemp -d)
+trap 'rm -rf "$TMP"' EXIT
+printf 'func @f(%%x) {\nentry:\n  %%y = frob %%x, 1\n  ret %%y\n}\n' > "$TMP/syntax.ir"
+printf 'func @f(%%x) {\nentry:\n  %%y = add %%z, 1\n  ret %%y\n}\n' > "$TMP/nonssa.ir"
+expect "opt syntax error -> 19" 19 "$CLI" opt "$TMP/syntax.ir"
+expect "opt non-SSA -> 19"      19 "$CLI" opt "$TMP/nonssa.ir"
+
 # Aborted-but-recovered runs (misfire/suppress keep the source alive).
 expect "suppress recovers"      0 "$CLI" osr-run bzip2 --at "$AT" --inject suppress
 

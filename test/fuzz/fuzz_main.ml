@@ -18,13 +18,11 @@
     {v [FUZZ_SEED=N] fuzz_main.exe [-n ITERS] [-seed0 N] [-j N]
        [-engine ref|compiled|all] v} *)
 
-module Ir = Miniir.Ir
 module Interp = Tinyvm.Interp
 module Engine = Tinyvm.Engine
 module Osr_error = Tinyvm.Osr_error
-module P = Passes.Pass_manager
 module Ctx = Osrir.Osr_ctx
-module F = Osrir.Feasibility
+module S = Osrir.Session
 module Rt = Osrir.Osr_runtime
 module Fault = Osrir.Fault
 
@@ -58,48 +56,19 @@ let speclist =
       "N shard iterations across N domains (deterministic; default 1)" );
   ]
 
-type case = {
-  bench : string;
-  src : Ir.func;
-  target : Ir.func;
-  args : int list;
-  point : int;
-  landing : int;
-  plan : Osrir.Reconstruct_ir.plan;
-}
+type case = { bench : string; args : int list; t : S.transition }
 
 (* Every feasible transition of every corpus kernel, both directions.
    Built once in the main domain; workers only read it. *)
 let cases : case array =
   Corpus.Kernels.all
   |> List.concat_map (fun (e : Corpus.Kernels.entry) ->
-         let fbase, _ = Corpus.Dsl.to_fbase e.kernel in
-         let r = P.apply fbase in
+         let s = S.create (fst (Corpus.Dsl.to_fbase e.kernel)) in
          List.concat_map
            (fun dir ->
-             let src, target =
-               match dir with
-               | Ctx.Base_to_opt -> (r.P.fbase, r.P.fopt)
-               | Ctx.Opt_to_base -> (r.P.fopt, r.P.fbase)
-             in
-             let ctx =
-               Ctx.make ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper dir
-             in
-             (F.analyze ctx).F.reports
-             |> List.filter_map (fun (rep : F.point_report) ->
-                    match (rep.F.landing, rep.F.avail_plan) with
-                    | Some landing, Some plan ->
-                        Some
-                          {
-                            bench = e.benchmark;
-                            src;
-                            target;
-                            args = e.default_args;
-                            point = rep.F.point;
-                            landing;
-                            plan;
-                          }
-                    | _ -> None))
+             List.map
+               (fun t -> { bench = e.benchmark; args = e.default_args; t })
+               (S.transitions s dir))
            [ Ctx.Base_to_opt; Ctx.Opt_to_base ])
   |> Array.of_list
 
@@ -141,20 +110,20 @@ let fail_case (t : tally) c seed fmt =
   Printf.ksprintf
     (fun msg ->
       t.t_failures <-
-        Printf.sprintf "FAIL %s at #%d (seed %d): %s" c.bench c.point seed msg
+        Printf.sprintf "FAIL %s at #%d (seed %d): %s" c.bench c.t.point seed msg
         :: t.t_failures)
     fmt
 
 let run_case (t : tally) (module E : Engine.S) (c : case) ~(seed : int) ~only =
   let module M = Rt.Make (E) in
-  let reference = E.run ~fuel c.src ~args:c.args in
+  let reference = E.run ~fuel c.t.src ~args:c.args in
   let injector = Fault.make ~seed in
   let hooks =
     match only with Some k -> Fault.hooks ~only:k injector | None -> Fault.hooks injector
   in
   match
-    M.run_transition_full ~fuel ~hooks ~arrival:(seed mod 3) ~src:c.src ~args:c.args
-      ~at:c.point ~target:c.target ~landing:c.landing c.plan
+    M.run_transition ~fuel ~hooks ~arrival:(seed mod 3) ~src:c.t.src ~args:c.args
+      ~at:c.t.point ~target:c.t.target ~landing:c.t.landing c.t.plan
   with
   | exception Osr_error.Error _ ->
       (* Typed errors are an acceptable outcome, never a crash. *)

@@ -5,9 +5,8 @@
     [Suite_osrir]. *)
 
 module Ir = Miniir.Ir
-module P = Passes.Pass_manager
 module Ctx = Osrir.Osr_ctx
-module F = Osrir.Feasibility
+module S = Osrir.Session
 
 type transition = {
   name : string;  (** kernel, direction and point, for failure messages *)
@@ -16,34 +15,33 @@ type transition = {
   plan : Osrir.Reconstruct_ir.plan;
 }
 
-(** [fbase] and [fopt] of each kernel, in [Corpus.Kernels.all] order. *)
-let versions : (string * P.apply_result) list Lazy.t =
+(** The session of each kernel, in [Corpus.Kernels.all] order. *)
+let versions : (string * S.t) list Lazy.t =
   lazy
     (List.map
        (fun (e : Corpus.Kernels.entry) ->
-         let fbase, _ = Corpus.Dsl.to_fbase e.kernel in
-         (e.benchmark, P.apply fbase))
+         (e.benchmark, S.create (fst (Corpus.Dsl.to_fbase e.kernel))))
        Corpus.Kernels.all)
 
 let all : transition list Lazy.t =
   lazy
     (List.concat_map
-       (fun (bench, (r : P.apply_result)) ->
-         let fwd, bwd = Ctx.make_pair ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper () in
+       (fun (bench, s) ->
          List.concat_map
-           (fun (dir, ctx, target) ->
+           (fun (dir, name) ->
+             let target = (S.ctx s dir).dst.func in
              List.concat_map
-               (fun (rep : F.point_report) ->
+               (fun (rep : Osrir.Feasibility.point_report) ->
                  match rep.landing with
                  | None -> []
                  | Some landing ->
                      List.filter_map
                        (Option.map (fun plan ->
-                            let name = Printf.sprintf "%s %s #%d" bench dir rep.point in
+                            let name = Printf.sprintf "%s %s #%d" bench name rep.point in
                             { name; target; landing; plan }))
                        [ rep.live_plan; rep.avail_plan ])
-               (F.analyze ctx).reports)
-           [ ("fwd", fwd, r.fopt); ("bwd", bwd, r.fbase) ])
+               (S.summary s dir).reports)
+           [ (Ctx.Base_to_opt, "fwd"); (Ctx.Opt_to_base, "bwd") ])
        (Lazy.force versions))
 
 (** Every 20th feasible (point, plan) pair. *)

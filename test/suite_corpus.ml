@@ -7,7 +7,7 @@ module Ir = Miniir.Ir
 module P = Passes.Pass_manager
 module Interp = Tinyvm.Interp
 module Ctx = Osrir.Osr_ctx
-module F = Osrir.Feasibility
+module S = Osrir.Session
 
 let kernels = Corpus.Kernels.all
 
@@ -69,26 +69,16 @@ let test_source_points_survive () =
    and check observational equality end-to-end. *)
 let transitions_on_kernel (name : string) =
   let e = Option.get (Corpus.Kernels.find name) in
-  let fbase, _ = Corpus.Dsl.to_fbase e.kernel in
-  let r = P.apply fbase in
+  let s = S.create (fst (Corpus.Dsl.to_fbase e.kernel)) in
   List.iter
-    (fun (dir, src, target) ->
-      let ctx = Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper dir in
-      let s = F.analyze ctx in
-      let feasible =
-        List.filter_map
-          (fun (rep : F.point_report) ->
-            match (rep.landing, rep.avail_plan) with
-            | Some l, Some p -> Some (rep.point, l, p)
-            | _ -> None)
-          s.reports
-      in
+    (fun dir ->
+      let feasible = S.transitions s dir in
       (* Sample every 5th feasible point to keep runtime acceptable. *)
       List.iteri
-        (fun i (at, landing, plan) ->
+        (fun i ({ src; target; point = at; landing; plan } : S.transition) ->
           if i mod 5 = 0 then begin
             let reference = Interp.run ~fuel:20_000_000 src ~args:e.default_args in
-            let osr =
+            let osr, _ =
               Osrir.Osr_runtime.run_transition ~fuel:20_000_000 ~src ~args:e.default_args
                 ~at ~target ~landing plan
             in
@@ -98,7 +88,7 @@ let transitions_on_kernel (name : string) =
           end)
         feasible;
       Alcotest.(check bool) (name ^ " has feasible points") true (feasible <> []))
-    [ (Ctx.Base_to_opt, r.fbase, r.fopt); (Ctx.Opt_to_base, r.fopt, r.fbase) ]
+    [ Ctx.Base_to_opt; Ctx.Opt_to_base ]
 
 let test_transitions_fhourstones () = transitions_on_kernel "fhourstones"
 let test_transitions_soplex () = transitions_on_kernel "soplex"

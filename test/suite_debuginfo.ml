@@ -243,12 +243,13 @@ let test_analysis_shape () =
    frame. *)
 let check_recovery_dynamically ((fbase, dbg) : Ir.func * Corpus.Dsl.debug_info)
     (args : int list) =
-  let r = P.apply fbase in
+  let session = Osrir.Session.create fbase in
+  let r = Osrir.Session.result session in
   let rep =
     E.analyze_function ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper ~user_vars:dbg.user_vars
       ~source_points:dbg.source_points
   in
-  let bwd = Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Opt_to_base in
+  let bwd = Osrir.Session.ctx session Ctx.Opt_to_base in
   let checked = ref 0 in
   List.iter
     (fun (p : E.point_report) ->

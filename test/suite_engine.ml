@@ -10,7 +10,7 @@ module Engine = Tinyvm.Engine
 module Compiled = Tinyvm.Engine.Compiled
 module P = Passes.Pass_manager
 module Ctx = Osrir.Osr_ctx
-module F = Osrir.Feasibility
+module S = Osrir.Session
 module Rt = Osrir.Osr_runtime
 
 let parse = Miniir.Ir_parser.parse_func
@@ -244,15 +244,13 @@ let test_lockstep_points () =
 let test_paused_frames_agree () =
   let e = List.hd Corpus.Kernels.all in
   let fbase, _ = Corpus.Dsl.to_fbase e.kernel in
-  let r = P.apply fbase in
-  let ctx = Ctx.make ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper Ctx.Base_to_opt in
-  let points = Ctx.source_points ctx in
+  let points = Ctx.source_points (S.ctx (S.create fbase) Ctx.Base_to_opt) in
   let checked = ref 0 in
   List.iteri
     (fun i point ->
       if i mod 7 = 0 then
-        let mr = Interp.create r.P.fbase ~args:e.default_args in
-        let mc = Compiled.create r.P.fbase ~args:e.default_args in
+        let mr = Interp.create fbase ~args:e.default_args in
+        let mc = Compiled.create fbase ~args:e.default_args in
         match (Interp.run_to_point mr ~point ~skip:1, Compiled.run_to_point mc ~point ~skip:1)
         with
         | Some mr, Some mc ->
@@ -278,35 +276,27 @@ let test_paused_frames_agree () =
    both engines: all four runs must be observationally equal, and the two
    engines byte-equal (ret, events, steps, traps). *)
 let osr_differential (fbase : Ir.func) (args : int list) : unit =
-  let r = P.apply fbase in
+  let s = S.create fbase in
   List.iter
-    (fun (dir, src, target) ->
-      let ctx = Ctx.make ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper dir in
-      let summary = F.analyze ctx in
+    (fun dir ->
       List.iter
-        (fun (rep : F.point_report) ->
-          match (rep.F.landing, rep.F.avail_plan) with
-          | Some landing, Some plan ->
-              let on_ref =
-                Rt.run_transition ~fuel:1_000_000 ~src ~args ~at:rep.F.point ~target ~landing
-                  plan
-              in
-              let on_compiled =
-                Rt.Compiled.run_transition ~fuel:1_000_000 ~src ~args ~at:rep.F.point
-                  ~target ~landing plan
-              in
-              check_equal
-                (Printf.sprintf "OSR %d→%d" rep.F.point landing)
-                on_ref on_compiled;
-              (* and the transition must still be sound wrt. plain runs *)
-              let reference = Interp.run ~fuel:1_000_000 src ~args in
-              Alcotest.(check bool)
-                (Printf.sprintf "OSR %d→%d sound" rep.F.point landing)
-                true
-                (Interp.equal_result reference on_compiled)
-          | _ -> ())
-        summary.F.reports)
-    [ (Ctx.Base_to_opt, r.P.fbase, r.P.fopt); (Ctx.Opt_to_base, r.P.fopt, r.P.fbase) ]
+        (fun ({ src; target; point; landing; plan } : S.transition) ->
+          let on_ref, _ =
+            Rt.run_transition ~fuel:1_000_000 ~src ~args ~at:point ~target ~landing plan
+          in
+          let on_compiled, _ =
+            Rt.Compiled.run_transition ~fuel:1_000_000 ~src ~args ~at:point ~target ~landing
+              plan
+          in
+          check_equal (Printf.sprintf "OSR %d→%d" point landing) on_ref on_compiled;
+          (* and the transition must still be sound wrt. plain runs *)
+          let reference = Interp.run ~fuel:1_000_000 src ~args in
+          Alcotest.(check bool)
+            (Printf.sprintf "OSR %d→%d sound" point landing)
+            true
+            (Interp.equal_result reference on_compiled))
+        (S.transitions s dir))
+    [ Ctx.Base_to_opt; Ctx.Opt_to_base ]
 
 let test_osr_differential_example () =
   let f =
@@ -344,39 +334,31 @@ let test_osr_differential_corpus () =
 let prop_osr_engines_agree =
   QCheck.Test.make ~count:10 ~name:"OSR transitions byte-equal across engines"
     Gen_ir.arb_func (fun f0 ->
-      let fbase = P.to_fbase f0 in
-      let r = P.apply fbase in
+      let s = S.create (P.to_fbase f0) in
       let args = [ 3; -2 ] in
       List.for_all
-        (fun (dir, src, target) ->
-          let ctx = Ctx.make ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper dir in
-          let summary = F.analyze ctx in
+        (fun dir ->
           List.for_all
-            (fun (rep : F.point_report) ->
-              match (rep.F.landing, rep.F.avail_plan) with
-              | Some landing, Some plan -> (
-                  let on_ref =
-                    Rt.run_transition ~fuel:1_000_000 ~src ~args ~at:rep.F.point ~target
-                      ~landing plan
-                  in
-                  let on_compiled =
-                    Rt.Compiled.run_transition ~fuel:1_000_000 ~src ~args ~at:rep.F.point
-                      ~target ~landing plan
-                  in
-                  match (on_ref, on_compiled) with
-                  | Ok x, Ok y ->
-                      x.Interp.ret = y.Interp.ret && x.Interp.steps = y.Interp.steps
-                      && List.equal Interp.equal_event x.Interp.events y.Interp.events
-                      || QCheck.Test.fail_reportf "OSR %d→%d diverged: %a vs %a" rep.F.point
-                           landing Interp.pp_result on_ref Interp.pp_result on_compiled
-                  | Error ta, Error tb -> ta = tb
-                  | Ok _, Error _ | Error _, Ok _ ->
-                      QCheck.Test.fail_reportf "OSR %d→%d: one engine trapped: %a vs %a"
-                        rep.F.point landing Interp.pp_result on_ref Interp.pp_result
-                        on_compiled)
-              | _ -> true)
-            summary.F.reports)
-        [ (Ctx.Base_to_opt, r.P.fbase, r.P.fopt); (Ctx.Opt_to_base, r.P.fopt, r.P.fbase) ])
+            (fun ({ src; target; point; landing; plan } : S.transition) ->
+              let on_ref, _ =
+                Rt.run_transition ~fuel:1_000_000 ~src ~args ~at:point ~target ~landing plan
+              in
+              let on_compiled, _ =
+                Rt.Compiled.run_transition ~fuel:1_000_000 ~src ~args ~at:point ~target
+                  ~landing plan
+              in
+              match (on_ref, on_compiled) with
+              | Ok x, Ok y ->
+                  x.Interp.ret = y.Interp.ret && x.Interp.steps = y.Interp.steps
+                  && List.equal Interp.equal_event x.Interp.events y.Interp.events
+                  || QCheck.Test.fail_reportf "OSR %d→%d diverged: %a vs %a" point landing
+                       Interp.pp_result on_ref Interp.pp_result on_compiled
+              | Error ta, Error tb -> ta = tb
+              | Ok _, Error _ | Error _, Ok _ ->
+                  QCheck.Test.fail_reportf "OSR %d→%d: one engine trapped: %a vs %a" point
+                    landing Interp.pp_result on_ref Interp.pp_result on_compiled)
+            (S.transitions s dir))
+        [ Ctx.Base_to_opt; Ctx.Opt_to_base ])
 
 (* -------------------- armed (non-firing) sites -------------------- *)
 
@@ -386,29 +368,21 @@ let test_armed_sites_no_fire () =
   List.iter
     (fun (e : Corpus.Kernels.entry) ->
       let fbase, _ = Corpus.Dsl.to_fbase e.kernel in
-      let r = P.apply fbase in
-      let ctx = Ctx.make ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper Ctx.Base_to_opt in
+      let s = S.create fbase in
       let cont =
-        match
-          List.find_map
-            (fun (rep : F.point_report) ->
-              match (rep.F.landing, rep.F.avail_plan) with
-              | Some landing, Some plan -> Some (Osrir.Contfun.generate r.P.fopt ~landing plan)
-              | _ -> None)
-            (F.analyze ctx).F.reports
-        with
-        | Some c -> c
-        | None -> Alcotest.fail "no feasible point to build a continuation from"
+        match S.transitions s Ctx.Base_to_opt with
+        | t :: _ -> Osrir.Contfun.generate t.target ~landing:t.landing t.plan
+        | [] -> Alcotest.fail "no feasible point to build a continuation from"
       in
-      let points = Ctx.source_points ctx in
-      let plain = Interp.run r.P.fbase ~args:e.default_args in
-      let mr = Interp.create r.P.fbase ~args:e.default_args in
+      let points = Ctx.source_points (S.ctx s Ctx.Base_to_opt) in
+      let plain = Interp.run fbase ~args:e.default_args in
+      let mr = Interp.create fbase ~args:e.default_args in
       let armed_ref =
         fst
           (Rt.run_with_osr mr
              (List.map (fun p -> { Rt.at = p; guard = (fun _ -> false); cont }) points))
       in
-      let mc = Compiled.create r.P.fbase ~args:e.default_args in
+      let mc = Compiled.create fbase ~args:e.default_args in
       let armed_compiled =
         fst
           (Rt.Compiled.run_with_osr mc

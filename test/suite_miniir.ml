@@ -271,12 +271,12 @@ let all_regs (f : Ir.func) : string list =
    [live_at_point] at two unknown ids. *)
 let liveness_agrees (f : Ir.func) : bool =
   let lv = Liveness.compute f in
-  let oracle = Liveness.Reference.compute f in
+  let oracle = Liveness_ref.compute f in
   let regs = "nonexistent" :: all_regs f in
   List.for_all
     (fun p ->
       let got = Liveness.live_at lv p in
-      let want = Liveness.Reference.live_at oracle p in
+      let want = Liveness_ref.live_at oracle p in
       if got <> want then
         QCheck.Test.fail_reportf "live_at %d: [%s] vs reference [%s]\n%s" p
           (String.concat " " got) (String.concat " " want) (Ir.func_to_string f)
@@ -285,13 +285,13 @@ let liveness_agrees (f : Ir.func) : bool =
       else
         List.for_all
           (fun r ->
-            Liveness.is_live lv p r = Liveness.Reference.is_live oracle p r
+            Liveness.is_live lv p r = Liveness_ref.is_live oracle p r
             || QCheck.Test.fail_reportf "is_live %d %s disagrees" p r)
           regs)
     (all_points f)
   && List.for_all
        (fun (b : Ir.block) ->
-         Liveness.live_out_of lv b.label = Liveness.Reference.live_out_of oracle b.label
+         Liveness.live_out_of lv b.label = Liveness_ref.live_out_of oracle b.label
          || QCheck.Test.fail_reportf "live_out_of %s disagrees" b.label)
        f.blocks
   && List.for_all
@@ -315,17 +315,18 @@ let prop_liveness_agrees_with_reference =
 let test_liveness_matches_reference_corpus () =
   let check ?(sample = fun _ _ -> true) name (f : Ir.func) =
     let lv = Liveness.compute f in
-    let oracle = Liveness.Reference.compute f in
+    let oracle = Liveness_ref.compute f in
     List.iteri
       (fun k p ->
-        let want = Liveness.Reference.live_at oracle p in
+        let want = Liveness_ref.live_at oracle p in
         if Liveness.live_at lv p <> want then Alcotest.failf "%s: live_at #%d" name p;
         if sample k p && Liveness.live_at_point f p <> want then
           Alcotest.failf "%s: live_at_point #%d" name p)
       (all_points f)
   in
   List.iter
-    (fun (bench, (r : Passes.Pass_manager.apply_result)) ->
+    (fun (bench, s) ->
+      let r = Osrir.Session.result s in
       check (bench ^ " fbase") r.fbase;
       check (bench ^ " fopt") r.fopt)
     (Lazy.force Kernel_transitions.versions);

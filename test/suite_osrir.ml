@@ -9,6 +9,7 @@ module P = Passes.Pass_manager
 module Ctx = Osrir.Osr_ctx
 module R = Osrir.Reconstruct_ir
 module F = Osrir.Feasibility
+module S = Osrir.Session
 module Rt = Osrir.Osr_runtime
 
 let parse = Miniir.Ir_parser.parse_func
@@ -37,7 +38,7 @@ let example () =
     \  ret %acc\n\
      }\n"
 
-let optimize f = P.apply f
+let directions = [ Ctx.Base_to_opt; Ctx.Opt_to_base ]
 
 let run_int f args =
   match Interp.run f ~args with
@@ -47,8 +48,7 @@ let run_int f args =
 (* -------------------- correspondence -------------------- *)
 
 let test_landing_points () =
-  let r = optimize (example ()) in
-  let ctx = Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Base_to_opt in
+  let ctx = S.ctx (S.create (example ())) Ctx.Base_to_opt in
   (* Every source point must either land somewhere or be honestly
      unmapped. *)
   let points = Ctx.source_points ctx in
@@ -63,8 +63,7 @@ let test_landing_points () =
     points
 
 let test_value_candidates () =
-  let r = optimize (example ()) in
-  let ctx = Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Opt_to_base in
+  let ctx = S.ctx (S.create (example ())) Ctx.Opt_to_base in
   (* %k was folded to 5 in fopt: reconstructing base's %k from the
      optimized frame must offer the constant. *)
   Alcotest.(check bool) "k resolves to constant 5" true
@@ -73,9 +72,8 @@ let test_value_candidates () =
 (* -------------------- feasibility -------------------- *)
 
 let test_feasibility_shapes () =
-  let r = optimize (example ()) in
-  let fwd = F.analyze (Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Base_to_opt) in
-  let bwd = F.analyze (Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Opt_to_base) in
+  let s = S.create (example ()) in
+  let fwd = S.summary s Ctx.Base_to_opt and bwd = S.summary s Ctx.Opt_to_base in
   Alcotest.(check bool) "forward: some points feasible" true (fwd.avail_ok > 0);
   Alcotest.(check bool) "backward: some points feasible" true (bwd.avail_ok > 0);
   Alcotest.(check bool) "live ⊆ avail (fwd)" true (fwd.live_ok <= fwd.avail_ok);
@@ -85,27 +83,19 @@ let test_feasibility_shapes () =
 (* -------------------- continuation functions -------------------- *)
 
 let test_contfun_verifies () =
-  let r = optimize (example ()) in
-  let ctx = Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Base_to_opt in
-  let checked = ref 0 in
+  let ts = S.transitions (S.create (example ())) Ctx.Base_to_opt in
+  Alcotest.(check bool) "some continuations" true (ts <> []);
   List.iter
-    (fun p ->
-      match Ctx.landing_point ctx p with
-      | None -> ()
-      | Some landing -> (
-          match R.for_point_pair ~variant:Avail ctx ~src_point:p ~landing with
-          | Error _ -> ()
-          | Ok plan ->
-              let cont = Osrir.Contfun.generate r.fopt ~landing plan in
-              (match Miniir.Verifier.verify cont.fto with
-              | Ok () -> incr checked
-              | Error es ->
-                  Alcotest.failf "f'to for %d→%d does not verify: %a@.%s" p landing
-                    (Fmt.list ~sep:Fmt.cut Miniir.Verifier.pp_error)
-                    es
-                    (Ir.func_to_string cont.fto))))
-    (Ctx.source_points ctx);
-  Alcotest.(check bool) "checked some continuations" true (!checked > 0)
+    (fun (t : S.transition) ->
+      let cont = Osrir.Contfun.generate t.target ~landing:t.landing t.plan in
+      match Miniir.Verifier.verify cont.fto with
+      | Ok () -> ()
+      | Error es ->
+          Alcotest.failf "f'to for %d→%d does not verify: %a@.%s" t.point t.landing
+            (Fmt.list ~sep:Fmt.cut Miniir.Verifier.pp_error)
+            es
+            (Ir.func_to_string cont.fto))
+    ts
 
 (* The continuation against references built from the unpromoted form:
    [generate] must equal the reference mem2reg applied to the
@@ -121,56 +111,79 @@ let test_contfun_matches_reference () =
       ignore (Mem2reg_ref.run demoted : bool);
       Alcotest.(check string) (t.name ^ " fto") (Ir.func_to_string demoted)
         (Ir.func_to_string cont.fto);
-      let want =
-        Miniir.Liveness.Reference.live_at (Miniir.Liveness.Reference.compute cont.fto) t.landing
-      in
+      let want = Liveness_ref.live_at (Liveness_ref.compute cont.fto) t.landing in
       Alcotest.(check (list string)) (t.name ^ " live_in") want cont.live_in)
     conts
+
+(* -------------------- the staged session -------------------- *)
+
+(* The session against the chain it replaces: each direction's summary
+   equals a sweep over a context of its own, and its transitions are
+   exactly the reports with a landing and an avail plan, in report order,
+   leaving and entering the direction's versions. *)
+let check_session (name : string) (s : S.t) : unit =
+  let r = S.result s in
+  List.iter
+    (fun dir ->
+      let name = Printf.sprintf "%s %s" name (if dir = Ctx.Base_to_opt then "fwd" else "bwd") in
+      let want = F.analyze (Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper dir) in
+      Alcotest.(check bool) (name ^ ": summary") true (S.summary s dir = want);
+      let src, target = if dir = Ctx.Base_to_opt then (r.fbase, r.fopt) else (r.fopt, r.fbase) in
+      let ts = S.transitions s dir in
+      Alcotest.(check bool)
+        (name ^ ": transitions")
+        true
+        (List.map (fun (t : S.transition) -> (t.point, Some t.landing, Some t.plan)) ts
+        = List.filter_map
+            (fun (rep : F.point_report) ->
+              match (rep.landing, rep.avail_plan) with
+              | Some _, Some _ -> Some (rep.point, rep.landing, rep.avail_plan)
+              | _ -> None)
+            want.reports);
+      Alcotest.(check bool)
+        (name ^ ": versions")
+        true
+        (List.for_all (fun (t : S.transition) -> t.src == src && t.target == target) ts))
+    directions
+
+let test_session_matches_chain () =
+  List.iter (fun (bench, s) -> check_session bench s) (Lazy.force Kernel_transitions.versions);
+  let rand = Random.State.make [| 11 |] in
+  for k = 1 to 5 do
+    check_session (Printf.sprintf "Gen_ir #%d" k) (S.create (P.to_fbase (Gen_ir.gen_func rand)))
+  done
 
 (* -------------------- end-to-end transitions -------------------- *)
 
 (* The oracle: running src with an OSR firing at any feasible point must be
    observationally equal to running src to completion. *)
 let transitions_correct ?(args_list = Gen_ir.sample_args) (fbase : Ir.func) : bool =
-  let r = optimize fbase in
-  let directions =
-    [
-      (Ctx.Base_to_opt, r.fbase, r.fopt);
-      (Ctx.Opt_to_base, r.fopt, r.fbase);
-    ]
-  in
+  let s = S.create fbase in
   List.for_all
-    (fun (dir, src, target) ->
-      let ctx = Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper dir in
-      let summary = F.analyze ctx in
+    (fun dir ->
       List.for_all
-        (fun (rep : F.point_report) ->
-          match (rep.landing, rep.avail_plan) with
-          | Some landing, Some plan ->
-              List.for_all
-                (fun args ->
-                  let reference = Interp.run ~fuel:1_000_000 src ~args in
-                  let with_osr, osr =
-                    Rt.run_transition_full ~fuel:1_000_000 ~src ~args ~at:rep.point
-                      ~target ~landing plan
-                  in
-                  (* A feasible point must not abort: an abort would fall
-                     back to the source run and trivially satisfy the
-                     equality below, hiding a reconstruction bug. *)
-                  (match osr.Rt.aborted with
-                  | [] -> ()
-                  | { reason; _ } :: _ ->
-                      QCheck.Test.fail_reportf "transfer aborted at %d→%d: %s" rep.point
-                        landing
-                        (Tinyvm.Osr_error.to_string reason));
-                  Interp.equal_result reference with_osr
-                  || QCheck.Test.fail_reportf
-                       "OSR at %d→%d diverged: %a vs %a@.src:@.%s@.target:@.%s" rep.point
-                       landing Interp.pp_result reference Interp.pp_result with_osr
-                       (Ir.func_to_string src) (Ir.func_to_string target))
-                args_list
-          | _ -> true)
-        summary.reports)
+        (fun ({ src; target; point; landing; plan } : S.transition) ->
+          List.for_all
+            (fun args ->
+              let reference = Interp.run ~fuel:1_000_000 src ~args in
+              let with_osr, osr =
+                Rt.run_transition ~fuel:1_000_000 ~src ~args ~at:point ~target ~landing plan
+              in
+              (* A feasible point must not abort: an abort would fall
+                 back to the source run and trivially satisfy the
+                 equality below, hiding a reconstruction bug. *)
+              (match osr.Rt.aborted with
+              | [] -> ()
+              | { reason; _ } :: _ ->
+                  QCheck.Test.fail_reportf "transfer aborted at %d→%d: %s" point landing
+                    (Tinyvm.Osr_error.to_string reason));
+              Interp.equal_result reference with_osr
+              || QCheck.Test.fail_reportf
+                   "OSR at %d→%d diverged: %a vs %a@.src:@.%s@.target:@.%s" point landing
+                   Interp.pp_result reference Interp.pp_result with_osr
+                   (Ir.func_to_string src) (Ir.func_to_string target))
+            args_list)
+        (S.transitions s dir))
     directions
 
 let test_example_transitions () =
@@ -180,24 +193,19 @@ let test_example_transitions () =
 let test_transition_mid_loop () =
   (* Fire on the third arrival inside the loop: partial accumulator state
      must transfer. *)
-  let r = optimize (example ()) in
-  let ctx = Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Base_to_opt in
-  let def_tbl = Ir.def_table r.fbase in
-  let acc2 = (Hashtbl.find def_tbl "acc2").Ir.di.id in
-  match Ctx.landing_point ctx acc2 with
-  | None -> Alcotest.fail "acc2 has no landing"
-  | Some landing -> (
-      match R.for_point_pair ~variant:Avail ctx ~src_point:acc2 ~landing with
-      | Error x -> Alcotest.failf "reconstruct failed on %s" x
-      | Ok plan ->
-          let reference = run_int r.fbase [ 6; 3 ] in
-          let osr =
-            Rt.run_transition ~arrival:2 ~src:r.fbase ~args:[ 6; 3 ] ~at:acc2
-              ~target:r.fopt ~landing plan
-          in
-          (match osr with
-          | Ok o -> Alcotest.(check int) "mid-loop transfer" reference o.Interp.ret
-          | Error t -> Alcotest.failf "trap: %a" Interp.pp_trap t))
+  let s = S.create (example ()) in
+  let acc2 = (Hashtbl.find (Ir.def_table (S.result s).fbase) "acc2").Ir.di.id in
+  match
+    List.find_opt (fun (t : S.transition) -> t.point = acc2) (S.transitions s Ctx.Base_to_opt)
+  with
+  | None -> Alcotest.fail "no transition at acc2"
+  | Some { src; target; landing; plan; _ } -> (
+      let osr, _ =
+        Rt.run_transition ~arrival:2 ~src ~args:[ 6; 3 ] ~at:acc2 ~target ~landing plan
+      in
+      match osr with
+      | Ok o -> Alcotest.(check int) "mid-loop transfer" (run_int src [ 6; 3 ]) o.Interp.ret
+      | Error t -> Alcotest.failf "trap: %a" Interp.pp_trap t)
 
 let test_memory_carried_across () =
   (* Memory written before the transition must be visible after. *)
@@ -245,7 +253,7 @@ let test_gating_reconstruction () =
   in
   Miniir.Verifier.verify_exn f;
   let r = P.apply ~pipeline:[] f in
-  let ctx = Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Base_to_opt in
+  let ctx = S.ctx (S.of_result r) Ctx.Base_to_opt in
   let def_tbl = Ir.def_table r.fbase in
   let cbr_id = (Ir.block_exn r.fbase "entry").term_id in
   let r_id = (Hashtbl.find def_tbl "r").Ir.di.id in
@@ -267,7 +275,7 @@ let test_gating_reconstruction () =
       List.iter
         (fun args ->
           let reference = Interp.run r.fbase ~args in
-          let osr =
+          let osr, _ =
             Rt.run_transition ~src:r.fbase ~args ~at:cbr_id ~target:r.fopt ~landing:r_id plan
           in
           Alcotest.(check bool)
@@ -288,35 +296,27 @@ let prop_transitions_sound =
 let prop_avail_superset =
   QCheck.Test.make ~count:30 ~name:"avail feasibility dominates live feasibility"
     Gen_ir.arb_func (fun f0 ->
-      let fbase = P.to_fbase f0 in
-      let r = optimize fbase in
+      let session = S.create (P.to_fbase f0) in
       List.for_all
         (fun dir ->
-          let s = F.analyze (Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper dir) in
+          let s = S.summary session dir in
           s.empty <= s.live_ok && s.live_ok <= s.avail_ok && s.avail_ok <= s.total_points)
-        [ Ctx.Base_to_opt; Ctx.Opt_to_base ])
+        directions)
 
 let prop_contfuns_verify =
   QCheck.Test.make ~count:20 ~name:"generated continuation functions verify"
     Gen_ir.arb_func (fun f0 ->
-      let fbase = P.to_fbase f0 in
-      let r = optimize fbase in
-      let ctx = Ctx.make ~fbase:r.fbase ~fopt:r.fopt ~mapper:r.mapper Ctx.Base_to_opt in
-      let summary = F.analyze ctx in
       List.for_all
-        (fun (rep : F.point_report) ->
-          match (rep.landing, rep.avail_plan) with
-          | Some landing, Some plan -> (
-              let cont = Osrir.Contfun.generate r.fopt ~landing plan in
-              match Miniir.Verifier.verify cont.fto with
-              | Ok () -> true
-              | Error es ->
-                  QCheck.Test.fail_reportf "%a@.%s"
-                    (Fmt.list ~sep:Fmt.cut Miniir.Verifier.pp_error)
-                    es
-                    (Ir.func_to_string cont.fto))
-          | _ -> true)
-        summary.reports)
+        (fun (t : S.transition) ->
+          let cont = Osrir.Contfun.generate t.target ~landing:t.landing t.plan in
+          match Miniir.Verifier.verify cont.fto with
+          | Ok () -> true
+          | Error es ->
+              QCheck.Test.fail_reportf "%a@.%s"
+                (Fmt.list ~sep:Fmt.cut Miniir.Verifier.pp_error)
+                es
+                (Ir.func_to_string cont.fto))
+        (S.transitions (S.create (P.to_fbase f0)) Ctx.Base_to_opt))
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
@@ -328,6 +328,7 @@ let suite =
       t "feasibility shapes" test_feasibility_shapes;
       t "continuation functions verify" test_contfun_verifies;
       t "continuations match the references" test_contfun_matches_reference;
+      t "session matches the hand-built chain" test_session_matches_chain;
       t "example transitions sound" test_example_transitions;
       t "transition mid-loop" test_transition_mid_loop;
       t "memory carried across" test_memory_carried_across;

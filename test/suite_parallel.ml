@@ -124,7 +124,8 @@ let with_each_pool (f : Pool.t -> unit) : unit =
 
 let test_sweep_differential () =
   let r = kernel () in
-  let mk dir () = Ctx.make ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper dir in
+  (* A fresh context for every sweep. *)
+  let mk dir () = Osrir.Session.ctx (Osrir.Session.of_result r) dir in
   with_each_pool @@ fun pool ->
   List.iter
     (fun dir ->

@@ -14,7 +14,7 @@ module Engine = Tinyvm.Engine
 module Osr_error = Tinyvm.Osr_error
 module P = Passes.Pass_manager
 module Ctx = Osrir.Osr_ctx
-module F = Osrir.Feasibility
+module S = Osrir.Session
 module Rt = Osrir.Osr_runtime
 module Fault = Osrir.Fault
 
@@ -65,30 +65,18 @@ let assert_invariant ctx ~(injector : Fault.t)
             Alcotest.failf "%s: committed transition diverged: %a vs %a" ctx
               Interp.pp_result reference Interp.pp_result result)
 
-let feasible_points (r : P.apply_result) (dir : Ctx.direction) :
-    (Ir.func * Ir.func * F.point_report * int * Osrir.Reconstruct_ir.plan) list =
-  let src, target =
-    match dir with
-    | Ctx.Base_to_opt -> (r.P.fbase, r.P.fopt)
-    | Ctx.Opt_to_base -> (r.P.fopt, r.P.fbase)
-  in
-  let ctx = Ctx.make ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper dir in
-  let s = F.analyze ctx in
-  List.filter_map
-    (fun (rep : F.point_report) ->
-      match (rep.F.landing, rep.F.avail_plan) with
-      | Some landing, Some plan -> Some (src, target, rep, landing, plan)
-      | _ -> None)
-    s.F.reports
+(* The forward transitions of a kernel, in point order. *)
+let forward (fbase : Ir.func) : S.transition list =
+  S.transitions (S.create fbase) Ctx.Base_to_opt
 
 (* Feasibility is static: a feasible point may never be arrived at on the
    concrete input.  Pick the first one the actual run reaches [skip+1]
    times. *)
 let first_reached_point ?(skip = 0) pts ~args =
   List.find_opt
-    (fun (src, _, (rep : F.point_report), _, _) ->
-      let m = Interp.create src ~args in
-      Interp.run_to_point m ~point:rep.F.point ~skip <> None)
+    (fun (t : S.transition) ->
+      let m = Interp.create t.src ~args in
+      Interp.run_to_point m ~point:t.point ~skip <> None)
     pts
   |> Option.get
 
@@ -103,18 +91,13 @@ let test_injected_kinds () =
     (fun bench ->
       let entry = Option.get (Corpus.Kernels.find bench) in
       let fbase, _ = Corpus.Dsl.to_fbase entry.Corpus.Kernels.kernel in
-      let r = P.apply fbase in
       let args = entry.Corpus.Kernels.default_args in
       (* A point with compensation work, if any — χ faults bite harder
          there. *)
-      let pts = feasible_points r Ctx.Base_to_opt in
-      let src, _target, rep, landing, plan =
-        match
-          List.find_opt
-            (fun (_, _, _, _, (p : Osrir.Reconstruct_ir.plan)) -> p.comp <> [])
-            pts
-        with
-        | Some x -> x
+      let pts = forward fbase in
+      let { S.src; target; point; landing; plan } =
+        match List.find_opt (fun (t : S.transition) -> t.plan.comp <> []) pts with
+        | Some t -> t
         | None -> List.hd pts
       in
       List.iter
@@ -129,8 +112,8 @@ let test_injected_kinds () =
               let hooks = Fault.hooks ~only:kind injector in
               let reference = E.run ~fuel:20_000_000 src ~args in
               let result, osr =
-                M.run_transition_full ~fuel:20_000_000 ~hooks ~src ~args ~at:rep.F.point
-                  ~target:_target ~landing plan
+                M.run_transition ~fuel:20_000_000 ~hooks ~src ~args ~at:point ~target ~landing
+                  plan
               in
               assert_invariant ctx ~injector ~reference ~result ~osr;
               match (kind, osr.Rt.aborted) with
@@ -161,9 +144,8 @@ let test_seeded_corpus () =
   List.iter
     (fun (entry : Corpus.Kernels.entry) ->
       let fbase, _ = Corpus.Dsl.to_fbase entry.kernel in
-      let r = P.apply fbase in
       let args = entry.default_args in
-      match feasible_points r Ctx.Base_to_opt with
+      match forward fbase with
       | [] -> ()
       | pts ->
           List.iter
@@ -171,15 +153,14 @@ let test_seeded_corpus () =
               let module M = Rt.Make (E) in
               let reference = E.run ~fuel:20_000_000 fbase ~args in
               for seed = 1 to 5 do
-                let src, target, rep, landing, plan =
+                let { S.src; target; point; landing; plan } =
                   List.nth pts (seed * 7 mod List.length pts)
                 in
-                ignore (src : Ir.func);
                 let injector = Fault.make ~seed in
                 let hooks = Fault.hooks injector in
                 let result, osr =
-                  M.run_transition_full ~fuel:20_000_000 ~hooks ~arrival:(seed mod 3)
-                    ~src:fbase ~args ~at:rep.F.point ~target ~landing plan
+                  M.run_transition ~fuel:20_000_000 ~hooks ~arrival:(seed mod 3) ~src ~args
+                    ~at:point ~target ~landing plan
                 in
                 let ctx = Printf.sprintf "%s/%s/seed=%d" entry.benchmark E.name seed in
                 assert_invariant ctx ~injector ~reference ~result ~osr
@@ -192,25 +173,24 @@ let test_seeded_corpus () =
 let prop_seeded_random_functions =
   QCheck.Test.make ~count:15 ~name:"fault-injection invariant on random functions"
     Gen_ir.arb_func (fun f0 ->
-      let fbase = P.to_fbase f0 in
-      let r = P.apply fbase in
+      let s = S.create (P.to_fbase f0) in
       List.iter
         (fun dir ->
           List.iteri
-            (fun i (src, target, (rep : F.point_report), landing, plan) ->
+            (fun i ({ src; target; point; landing; plan } : S.transition) ->
               List.iter
                 (fun args ->
                   let reference = Interp.run ~fuel:1_000_000 src ~args in
                   let injector = Fault.make ~seed:(i + (17 * List.length args)) in
                   let hooks = Fault.hooks injector in
                   let result, osr =
-                    Rt.run_transition_full ~fuel:1_000_000 ~hooks ~src ~args ~at:rep.F.point
-                      ~target ~landing plan
+                    Rt.run_transition ~fuel:1_000_000 ~hooks ~src ~args ~at:point ~target
+                      ~landing plan
                   in
-                  let ctx = Printf.sprintf "point #%d" rep.F.point in
+                  let ctx = Printf.sprintf "point #%d" point in
                   assert_invariant ctx ~injector ~reference ~result ~osr)
                 [ [ 3; -2 ]; [ 7; 5 ] ])
-            (feasible_points r dir))
+            (S.transitions s dir))
         [ Ctx.Base_to_opt; Ctx.Opt_to_base ];
       true)
 
@@ -223,25 +203,24 @@ let prop_seeded_random_functions =
 let test_abort_resumes_source_lockstep () =
   let entry = Option.get (Corpus.Kernels.find "bzip2") in
   let fbase, _ = Corpus.Dsl.to_fbase entry.kernel in
-  let r = P.apply fbase in
   let args = entry.default_args in
-  let src, target, rep, landing, plan =
-    first_reached_point ~skip:1 (feasible_points r Ctx.Base_to_opt) ~args
+  let { S.src; target; point; landing; plan } =
+    first_reached_point ~skip:1 (forward fbase) ~args
   in
   let regs = src.Ir.params @ List.of_seq (Hashtbl.to_seq_keys (Ir.def_table src)) in
   let cont = Osrir.Contfun.generate target ~landing plan in
   let ma = Interp.create src ~args in
   let mb = Interp.create src ~args in
   (match
-     ( Interp.run_to_point ma ~point:rep.F.point ~skip:1,
-       Interp.run_to_point mb ~point:rep.F.point ~skip:1 )
+     ( Interp.run_to_point ma ~point ~skip:1,
+       Interp.run_to_point mb ~point ~skip:1 )
    with
   | Some _, Some _ -> ()
   | _ -> Alcotest.fail "point not reached");
   (* A failing attempt: χ trap injected. *)
   let injector = Fault.make ~seed:0 in
   let hooks = Fault.hooks ~only:Fault.Chi_trap injector in
-  (match Rt.fire ~hooks ma { Rt.at = rep.F.point; guard = (fun _ -> true); cont } with
+  (match Rt.fire ~hooks ma { Rt.at = point; guard = (fun _ -> true); cont } with
   | Error (Osr_error.Comp_trap _) -> ()
   | Error e -> Alcotest.failf "unexpected abort reason: %s" (Osr_error.to_string e)
   | Ok _ -> Alcotest.fail "χ-trapped attempt committed");
@@ -284,7 +263,6 @@ let test_abort_resumes_source_lockstep () =
 let test_memory_rollback_mid_chi () =
   let entry = Option.get (Corpus.Kernels.find "bzip2") in
   let fbase, _ = Corpus.Dsl.to_fbase entry.kernel in
-  let r = P.apply fbase in
   let args = entry.default_args in
   let has_mem_effects (cont : Osrir.Contfun.t) =
     List.exists
@@ -292,27 +270,27 @@ let test_memory_rollback_mid_chi () =
         match i.Ir.rhs with Ir.Alloca _ | Ir.Store _ -> true | _ -> false)
       (Ir.entry cont.Osrir.Contfun.fto).Ir.body
   in
-  let src, target, rep, landing, plan =
+  let { S.src; target; point; landing; plan } =
     List.find_opt
-      (fun (src, target, (rep : F.point_report), landing, plan) ->
+      (fun ({ src; target; point; landing; plan } : S.transition) ->
         has_mem_effects (Osrir.Contfun.generate ~promote:false target ~landing plan)
         &&
         let m = Interp.create src ~args in
-        Interp.run_to_point m ~point:rep.F.point <> None)
-      (feasible_points r Ctx.Base_to_opt)
+        Interp.run_to_point m ~point <> None)
+      (forward fbase)
     |> Option.get
   in
   let cont = Osrir.Contfun.generate ~promote:false target ~landing plan in
   Alcotest.(check bool) "demoted χ has memory effects" true (has_mem_effects cont);
   let m = Interp.create src ~args in
-  (match Interp.run_to_point m ~point:rep.F.point with
+  (match Interp.run_to_point m ~point with
   | Some _ -> ()
   | None -> Alcotest.fail "point not reached");
   let snap_cells = Hashtbl.copy m.Interp.memory.Interp.cells in
   let snap_brk = m.Interp.memory.Interp.brk in
   let injector = Fault.make ~seed:0 in
   let hooks = Fault.hooks ~only:Fault.Chi_trap injector in
-  (match Rt.fire ~hooks m { Rt.at = rep.F.point; guard = (fun _ -> true); cont } with
+  (match Rt.fire ~hooks m { Rt.at = point; guard = (fun _ -> true); cont } with
   | Error (Osr_error.Comp_trap _) -> ()
   | Error e -> Alcotest.failf "unexpected abort reason: %s" (Osr_error.to_string e)
   | Ok _ -> Alcotest.fail "χ-trapped attempt committed");
@@ -335,14 +313,13 @@ let test_memory_rollback_mid_chi () =
 let test_demoted_chi_commits () =
   let entry = Option.get (Corpus.Kernels.find "bzip2") in
   let fbase, _ = Corpus.Dsl.to_fbase entry.kernel in
-  let r = P.apply fbase in
   let args = entry.default_args in
-  let src, target, rep, landing, plan = List.hd (feasible_points r Ctx.Base_to_opt) in
+  let { S.src; target; point; landing; plan } = List.hd (forward fbase) in
   let cont = Osrir.Contfun.generate ~promote:false target ~landing plan in
   let m = Interp.create src ~args in
   let result, osr =
     Rt.run_with_osr ~fuel:20_000_000 m
-      [ { Rt.at = rep.F.point; guard = (fun _ -> true); cont } ]
+      [ { Rt.at = point; guard = (fun _ -> true); cont } ]
   in
   Alcotest.(check bool) "committed" true (osr.Rt.transition <> None);
   Alcotest.(check bool)
@@ -357,25 +334,21 @@ let test_demoted_chi_commits () =
 let test_validation_catches_poison () =
   let entry = Option.get (Corpus.Kernels.find "sjeng") in
   let fbase, _ = Corpus.Dsl.to_fbase entry.kernel in
-  let r = P.apply fbase in
   let args = entry.default_args in
   match
     List.find_opt
-      (fun (_, _, _, _, _) -> true)
-      (List.filter
-         (fun (_, t, _, l, p) ->
-           ignore (p : Osrir.Reconstruct_ir.plan);
-           (Osrir.Contfun.generate t ~landing:l p).Osrir.Contfun.live_in <> [])
-         (feasible_points r Ctx.Base_to_opt))
+      (fun (t : S.transition) ->
+        (Osrir.Contfun.generate t.target ~landing:t.landing t.plan).live_in <> [])
+      (forward fbase)
   with
   | None -> Alcotest.skip ()
-  | Some (src, target, rep, landing, plan) ->
+  | Some { src; target; point; landing; plan } ->
       let reference = Interp.run ~fuel:20_000_000 src ~args in
       let run ~validate =
         let injector = Fault.make ~seed:3 in
         let hooks = Fault.hooks ~only:Fault.Poison injector in
-        Rt.run_transition_full ~fuel:20_000_000 ~validate ~hooks ~src ~args ~at:rep.F.point
-          ~target ~landing plan
+        Rt.run_transition ~fuel:20_000_000 ~validate ~hooks ~src ~args ~at:point ~target
+          ~landing plan
       in
       let result_v, osr_v = run ~validate:true in
       (match osr_v.Rt.aborted with
@@ -495,9 +468,8 @@ let test_typed_errors () =
   (* Contfun.generate on a bogus landing: typed, not Invalid_argument. *)
   let entry = Option.get (Corpus.Kernels.find "bzip2") in
   let fbase, _ = Corpus.Dsl.to_fbase entry.kernel in
-  let r = P.apply fbase in
-  let _, _, _, _, plan = List.hd (feasible_points r Ctx.Base_to_opt) in
-  (match Osrir.Contfun.generate r.P.fopt ~landing:987654 plan with
+  let t = List.hd (forward fbase) in
+  (match Osrir.Contfun.generate t.target ~landing:987654 t.plan with
   | exception Osr_error.Error (Osr_error.No_such_point { point = 987654; _ }) -> ()
   | exception e -> Alcotest.failf "unexpected exception %s" (Printexc.to_string e)
   | _ -> Alcotest.fail "bogus landing accepted");

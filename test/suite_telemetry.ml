@@ -187,13 +187,10 @@ let test_pipeline_populates_counters () =
   let s = T.create () in
   let entry = List.hd Corpus.Kernels.all in
   let fbase, _dbg = Corpus.Dsl.to_fbase entry.kernel in
-  let r = P.apply ~telemetry:s fbase in
-  let ctx =
-    Osrir.Osr_ctx.make ~fbase:r.P.fbase ~fopt:r.P.fopt ~mapper:r.P.mapper
-      Osrir.Osr_ctx.Base_to_opt
-  in
-  let _ = Osrir.Feasibility.analyze ~telemetry:s ctx in
-  let _ = Interp.run ~telemetry:s r.P.fopt ~args:entry.default_args in
+  let session = Osrir.Session.create ~telemetry:s fbase in
+  let _ = Osrir.Session.summary session Osrir.Osr_ctx.Base_to_opt in
+  let fopt = (Osrir.Session.result session).fopt in
+  let _ = Interp.run ~telemetry:s fopt ~args:entry.default_args in
   let groups = List.map (fun (c : T.counter) -> c.T.group) (T.nonzero_counters ()) in
   List.iter
     (fun g ->
