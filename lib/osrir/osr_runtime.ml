@@ -29,8 +29,10 @@ open Import
     slot-register engine).  The top level of this module is the
     reference-engine instantiation — the historical API — and {!Compiled}
     is the compiled-engine one; all three have the signature {!S}.  Armed
-    points live in a direct-indexed [site option array] keyed by
-    instruction id — O(1) per step, one guard evaluation per arrival. *)
+    points are a [bool array] keyed by instruction id that the engine
+    checks inside its own run loop ({!Tinyvm.Engine.S.run_armed}); the
+    guard runs once per arrival at an armed point, and control comes back
+    here only to fire. *)
 
 module Engine = Tinyvm.Engine
 
@@ -274,17 +276,21 @@ module Make (E : Engine.S) : S with type machine = E.machine = struct
     if E.fuel machine > fuel then E.set_fuel machine fuel;
     let fname = (E.func machine).Ir.fname in
     let tel = E.telemetry machine in
-    (* Direct-indexed site table keyed by instruction id: O(1) per step, one
-       guard evaluation per arrival.  Duplicate arming of a point keeps the
-       first site, like the List.find_opt it replaces. *)
+    (* The armed flags the engine checks in its run loop, and each armed
+       point's guard.  Duplicate arming of a point keeps the first site. *)
     let n = List.fold_left (fun acc s -> max acc (s.at + 1)) (E.func machine).Ir.next_id sites in
-    let table : E.machine gsite option array = Array.make n None in
+    let armed = Array.make n false in
+    let guards = Array.make n (fun (_ : E.machine) -> false) in
     List.iter
-      (fun s -> if s.at >= 0 && table.(s.at) = None then table.(s.at) <- Some s)
+      (fun s ->
+        if s.at >= 0 && not armed.(s.at) then begin
+          armed.(s.at) <- true;
+          guards.(s.at) <- s.guard
+        end)
       sites;
     let aborted = ref [] in
     let abort id (e : Osr_error.t) =
-      table.(id) <- None;
+      armed.(id) <- false;
       Telemetry.bump tel stat_aborted;
       Telemetry.remark tel ~pass:"osr" ~func:fname ~instr:id (fun () ->
           "transition aborted: " ^ Osr_error.to_string e);
@@ -302,69 +308,67 @@ module Make (E : Engine.S) : S with type machine = E.machine = struct
             (Osr_error.Error
                (Osr_error.Internal { what = "run_with_osr: finished on a running machine" }))
     in
-    (* Guard evaluation is itself guarded: a trap (injected or raised by
-       the guard closure) aborts the attempt instead of killing the run. *)
-    let guard_decision (site : E.machine gsite) (id : int) : (bool, Osr_error.t) result =
-      match hooks.h_guard_trap ~at:id with
-      | Some t -> Error (Osr_error.Guard_trap { func = fname; at = id; trap = t })
-      | None -> (
-          match hooks.h_guard_override ~at:id with
-          | Some b -> Ok b
-          | None -> (
-              match site.guard machine with
-              | b -> Ok b
-              | exception Interp.Trap t ->
-                  Error (Osr_error.Guard_trap { func = fname; at = id; trap = t })
-              | exception Osr_error.Error e -> Error e))
+    (* The guard decision at an armed arrival: [true] stops the engine to
+       fire.  Guard evaluation is itself guarded: a trap raised by the
+       guard closure leaves the engine paused at the arrival and is caught
+       in [go] below, and a trap injected by a hook is decided here; both
+       abort the attempt — disarming the site — instead of killing the
+       run.  Without hooks the decision is a tail call of the guard. *)
+    let stop =
+      if hooks == no_hooks then fun id -> guards.(id) machine
+      else fun id ->
+        match hooks.h_guard_trap ~at:id with
+        | Some t ->
+            abort id (Osr_error.Guard_trap { func = fname; at = id; trap = t });
+            false
+        | None -> (
+            match hooks.h_guard_override ~at:id with
+            | Some b -> b
+            | None -> guards.(id) machine)
     in
+    let paused_at () = Option.get (E.next_instr_id machine) in
     let rec go () =
-      match E.next_instr_id machine with
-      | None -> (result_of_status (), outcome None)
-      | Some id -> (
-          match (if id >= 0 && id < n then table.(id) else None) with
-          | None -> advance ()
-          | Some site -> (
-              match guard_decision site id with
-              | Error e ->
-                  abort id e;
-                  go ()
-              | Ok false -> advance ()
-              | Ok true -> (
-                  match fire ~hooks ~validate machine site with
-                  | Error e ->
-                      abort id e;
-                      go ()
-                  | Ok cont_machine ->
-                      (* The continuation already carries the remaining
-                         budget (its fuel was derived from the source's);
-                         max_int avoids re-clamping it. *)
-                      let result = E.run_machine ~fuel:max_int cont_machine in
-                      let result =
-                        (* Events observed before the transition belong to
-                           the activation. *)
-                        match result with
-                        | Ok o ->
-                            Ok
-                              {
-                                o with
-                                Interp.events =
-                                  List.rev_append (E.events_rev machine) o.Interp.events;
-                                steps = E.steps machine + o.Interp.steps;
-                              }
-                        | Error _ as e -> e
-                      in
-                      ( result,
-                        outcome
-                          (Some
-                             {
-                               fired_at = id;
-                               comp_entry_instrs =
-                                 List.length (Ir.entry site.cont.fto).Ir.body;
-                             }) ))))
-    and advance () =
-      match E.step machine with
-      | Interp.Running -> go ()
-      | Interp.Returned _ | Interp.Trapped _ -> (result_of_status (), outcome None)
+      match E.run_armed machine ~armed ~stop with
+      | exception Interp.Trap t ->
+          let id = paused_at () in
+          abort id (Osr_error.Guard_trap { func = fname; at = id; trap = t });
+          go ()
+      | exception Osr_error.Error e ->
+          abort (paused_at ()) e;
+          go ()
+      | Engine.Halted | Engine.Out_of_budget -> (result_of_status (), outcome None)
+      | Engine.At_armed -> (
+          let id = paused_at () in
+          let site = List.find (fun s -> s.at = id) sites in
+          match fire ~hooks ~validate machine site with
+          | Error e ->
+              abort id e;
+              go ()
+          | Ok cont_machine ->
+              (* The continuation already carries the remaining budget
+                 (its fuel was derived from the source's); max_int avoids
+                 re-clamping it. *)
+              let result = E.run_machine ~fuel:max_int cont_machine in
+              let result =
+                (* Events observed before the transition belong to the
+                   activation. *)
+                match result with
+                | Ok o ->
+                    Ok
+                      {
+                        o with
+                        Interp.events = List.rev_append (E.events_rev machine) o.Interp.events;
+                        steps = E.steps machine + o.Interp.steps;
+                      }
+                | Error _ as e -> e
+              in
+              ( result,
+                outcome
+                  (Some
+                     {
+                       fired_at = id;
+                       comp_entry_instrs = List.length (Ir.entry site.cont.fto).Ir.body;
+                     }) ))
     in
     go ()
 

@@ -32,19 +32,35 @@ let eval_icmp (op : Ir.icmp) (a : int) (b : int) : int =
   in
   if r then 1 else 0
 
-(** Pure intrinsics (must match {!Ir.is_pure_call}). *)
+let clz (a : int) : int =
+  let rec go n k = if n = 0 || k >= 63 then 63 - k else go (n lsr 1) (k + 1) in
+  if a = 0 then 63 else 63 - go (a land max_int) 0
+
+(* A small deterministic mixer (xorshift-style). *)
+let hash (a : int) : int =
+  let h = a * 2654435761 land max_int in
+  (h lxor (h lsr 13)) land 0xFFFFFF
+
+(** The pure intrinsics of one and of two arguments (together they must
+    match {!Ir.is_pure_call}), as unboxed functions so an engine can
+    resolve them once instead of per call. *)
+let intrinsic1 : string -> (int -> int) option = function
+  | "abs" -> Some abs
+  | "clz" -> Some clz
+  | "hash" -> Some hash
+  | _ -> None
+
+let intrinsic2 : string -> (int -> int -> int) option = function
+  | "min" -> Some (fun (a : int) b -> if a <= b then a else b)
+  | "max" -> Some (fun (a : int) b -> if a >= b then a else b)
+  | _ -> None
+
+(** A pure intrinsic applied to [args]; [None] for an unknown name or a
+    wrong argument count. *)
 let eval_intrinsic (name : string) (args : int list) : int option =
-  match (name, args) with
-  | "abs", [ a ] -> Some (abs a)
-  | "min", [ a; b ] -> Some (min a b)
-  | "max", [ a; b ] -> Some (max a b)
-  | "clz", [ a ] ->
-      let rec go n k = if n = 0 || k >= 63 then 63 - k else go (n lsr 1) (k + 1) in
-      Some (if a = 0 then 63 else 63 - go (a land max_int) 0)
-  | "hash", [ a ] ->
-      (* A small deterministic mixer (xorshift-style). *)
-      let h = a * 2654435761 land max_int in
-      Some ((h lxor (h lsr 13)) land 0xFFFFFF)
+  match args with
+  | [ a ] -> Option.map (fun f -> f a) (intrinsic1 name)
+  | [ a; b ] -> Option.map (fun f -> f a b) (intrinsic2 name)
   | _ -> None
 
 (** Fold an rhs whose operands are all constants. *)

@@ -58,7 +58,9 @@ type op =
   | Oalloca of int * int  (** dst, size *)
   | Oload of int * operand
   | Ostore of int * operand * operand  (** dst (the reference writes 0), value, addr *)
-  | Ocall_pure of int * string * operand array
+  | Ocall1 of int * (int -> int) * operand  (** a pure intrinsic of one argument *)
+  | Ocall2 of int * (int -> int -> int) * operand * operand
+      (** a pure intrinsic of two arguments *)
   | Ocall_event of int * string * operand array
   | Ocall_seed of int * operand  (** read_seed with its single argument *)
   | Ocall_bad_arity of string * operand array  (** args are read, then trap *)
@@ -199,16 +201,20 @@ let compile ?(telemetry = Telemetry.null) (f : Ir.func) : program =
             | Ir.Alloca n -> Oalloca (dst, n)
             | Ir.Load a -> Oload (dst, v a)
             | Ir.Store (x, a) -> Ostore (dst, v x, v a)
-            | Ir.Call (name, args) ->
+            | Ir.Call (name, args) -> (
                 let ops = Array.of_list (List.map v args) in
-                if Ir.is_pure_call name then Ocall_pure (dst, name, ops)
-                else (
-                  match name with
-                  | "print" | "emit" | "checkpoint" -> Ocall_event (dst, name, ops)
-                  | "read_seed" ->
-                      if Array.length ops = 1 then Ocall_seed (dst, ops.(0))
-                      else Ocall_bad_arity (name, ops)
-                  | _ -> Ocall_unknown (name, ops))
+                match (ops, Passes.Fold.intrinsic1 name, Passes.Fold.intrinsic2 name) with
+                | [| a |], Some f, _ -> Ocall1 (dst, f, a)
+                | [| a; b |], _, Some f -> Ocall2 (dst, f, a, b)
+                | _ -> (
+                    (* a pure intrinsic at a wrong arity traps like an
+                       unknown one *)
+                    match name with
+                    | "print" | "emit" | "checkpoint" -> Ocall_event (dst, name, ops)
+                    | "read_seed" ->
+                        if Array.length ops = 1 then Ocall_seed (dst, ops.(0))
+                        else Ocall_bad_arity (name, ops)
+                    | _ -> Ocall_unknown (name, ops)))
             | Ir.Phi _ -> Otrap_undef
           in
           emit i.id op)

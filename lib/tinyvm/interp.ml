@@ -8,6 +8,7 @@ module Ir = Miniir.Ir
 
 type trap =
   | Division_by_zero of int  (** instruction id *)
+  | Shift_out_of_range of int  (** instruction id: shift amount outside [0, 62] *)
   | Undef_read of int
   | Unknown_intrinsic of string * int
   | Unreachable_reached of string  (** block label *)
@@ -17,6 +18,7 @@ type trap =
 
 let pp_trap ppf = function
   | Division_by_zero id -> Fmt.pf ppf "division by zero at #%d" id
+  | Shift_out_of_range id -> Fmt.pf ppf "shift amount out of range at #%d" id
   | Undef_read id -> Fmt.pf ppf "read of undef at #%d" id
   | Unknown_intrinsic (n, id) -> Fmt.pf ppf "unknown intrinsic @%s at #%d" n id
   | Unreachable_reached l -> Fmt.pf ppf "reached 'unreachable' in block %s" l
@@ -42,7 +44,7 @@ type memory = { cells : (int, int) Hashtbl.t; mutable brk : int }
 let fresh_memory () : memory = { cells = Hashtbl.create 256; brk = 1024 }
 
 let mem_load (m : memory) (addr : int) : int =
-  Option.value ~default:0 (Hashtbl.find_opt m.cells addr)
+  match Hashtbl.find m.cells addr with v -> v | exception Not_found -> 0
 
 let mem_store (m : memory) (addr : int) (v : int) : unit = Hashtbl.replace m.cells addr v
 
@@ -157,7 +159,10 @@ let exec_rhs (m : machine) (i : Ir.instr) : int option =
       let x = read m ~at:i.id a and y = read m ~at:i.id b in
       match Passes.Fold.eval_binop op x y with
       | Some v -> Some v
-      | None -> raise (Trap (Division_by_zero i.id)))
+      | None -> (
+          match op with
+          | Ir.Shl | Ir.Lshr | Ir.Ashr -> raise (Trap (Shift_out_of_range i.id))
+          | _ -> raise (Trap (Division_by_zero i.id))))
   | Ir.Icmp (op, a, b) ->
       Some (Passes.Fold.eval_icmp op (read m ~at:i.id a) (read m ~at:i.id b))
   | Ir.Select (c, t, e) ->

@@ -8,6 +8,7 @@ module Ir = Miniir.Ir
 
 type trap =
   | Division_by_zero of int  (** instruction id *)
+  | Shift_out_of_range of int  (** instruction id: shift amount outside [0, 62] *)
   | Undef_read of int
   | Unknown_intrinsic of string * int
   | Unreachable_reached of string  (** block label *)
