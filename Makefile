@@ -1,4 +1,4 @@
-.PHONY: all build test fmt bench bench-smoke perf-par osrbench osrbench-fp fuzz clean
+.PHONY: all build test costs fmt bench bench-smoke perf-par osrbench osrbench-fp fuzz clean
 
 all: build
 
@@ -8,6 +8,12 @@ build:
 # Tier-1 gate: full build + every test suite (includes the bench smoke rule).
 test:
 	dune build && dune runtest
+
+# Rewrite the cost gate's golden file (test/costs.expected) from the current
+# code; `dune runtest` diffs against it.  Explain every changed line in
+# CHANGES.md.
+costs:
+	dune build ./test/costs.exe && ./_build/default/test/costs.exe > test/costs.expected
 
 # Formatting gate. ocamlformat is not available in this environment, so the
 # @fmt alias is scoped to dune files via (formatting (enabled_for dune)) in

@@ -250,7 +250,7 @@ let opt_cmd =
       with Miniir.Ir_parser.Parse_error (msg, line) -> bad_ir "%s:%d: %s" path line msg
     in
     (match Miniir.Verifier.verify f with
-    | Ok () -> ()
+    | Ok _ -> ()
     | Error es -> bad_ir "%s: %s" path (Fmt.str "%a" Miniir.Verifier.pp_error (List.hd es)));
     let r = P.apply ~telemetry:sink f in
     print_string (Ir.func_to_string r.P.fopt);

@@ -4,11 +4,10 @@
     verifier and by the OSR availability analysis). *)
 
 type t = {
-  func : Ir.func;
+  cfg : Func_index.cfg;  (** the function and its edges *)
   order : string array;  (** reverse postorder, entry first *)
   index : (string, int) Hashtbl.t;  (** label → rpo index *)
   idom : int array;  (** rpo index → rpo index of immediate dominator; entry maps to itself *)
-  preds : (string, string list) Hashtbl.t;
   tin : int array;
   tout : int array;
       (** Euler-tour interval of each node in the dominator tree:
@@ -16,30 +15,17 @@ type t = {
           making every dominance test O(1) instead of an idom-chain walk. *)
 }
 
-let compute ?(index : Func_index.t option) (f : Ir.func) : t =
-  let find_block =
-    match index with
-    | Some i -> Func_index.find_block i
-    | None -> Hashtbl.find_opt (Ir.block_table f)  (* a label table, not a full index *)
-  in
-  let preds = Hashtbl.create 16 in
-  List.iter (fun (b : Ir.block) -> Hashtbl.replace preds b.label []) f.blocks;
-  List.iter
-    (fun (b : Ir.block) ->
-      List.iter
-        (fun s ->
-          match Hashtbl.find_opt preds s with
-          | Some ps -> Hashtbl.replace preds s (b.label :: ps)
-          | None -> ())
-        (Ir.successors b))
-    f.blocks;
+(** Dominators of [cfg]'s function, read off its blocks and predecessor
+    lists. *)
+let compute (cfg : Func_index.cfg) : t =
+  let f = cfg.func in
   (* Reverse postorder from the entry. *)
   let visited = Hashtbl.create 16 in
   let post = ref [] in
   let rec dfs label =
     if not (Hashtbl.mem visited label) then begin
       Hashtbl.add visited label ();
-      (match find_block label with
+      (match Hashtbl.find_opt cfg.blocks label with
       | Some b -> List.iter dfs (Ir.successors b)
       | None -> ());
       post := label :: !post
@@ -71,7 +57,7 @@ let compute ?(index : Func_index.t option) (f : Ir.func) : t =
       let label = order.(i) in
       let ps =
         List.filter_map (fun p -> Hashtbl.find_opt index p)
-          (Option.value ~default:[] (Hashtbl.find_opt preds label))
+          (Func_index.cfg_predecessors cfg label)
       in
       let processed = List.filter (fun p -> idom.(p) >= 0) ps in
       match processed with
@@ -99,7 +85,7 @@ let compute ?(index : Func_index.t option) (f : Ir.func) : t =
     incr clock
   in
   if n > 0 then tour 0;
-  { func = f; order; index; idom; preds; tin; tout }
+  { cfg; order; index; idom; tin; tout }
 
 (** Is [label] reachable from the entry? *)
 let reachable (t : t) (label : string) : bool = Hashtbl.mem t.index label
@@ -129,7 +115,7 @@ let frontiers (t : t) : (string, string list) Hashtbl.t =
   Array.iter
     (fun label ->
       let ps =
-        List.filter (reachable t) (Option.value ~default:[] (Hashtbl.find_opt t.preds label))
+        List.filter (reachable t) (Func_index.cfg_predecessors t.cfg label)
       in
       if List.length ps >= 2 then
         List.iter

@@ -11,12 +11,11 @@ type loop = {
 
 type t = { loops : loop list; dom : Dom.t }
 
-(** Detect all natural loops.  Back edge: [b → h] with [h] dominating [b].
-    Loops sharing a header are merged.  [dom] and [index] are recomputed
-    when not supplied (the analysis manager passes cached ones). *)
-let compute ?(index : Func_index.t option) ?(dom : Dom.t option) (f : Ir.func) : t =
-  let index = match index with Some i -> i | None -> Func_index.make f in
-  let dom = match dom with Some d -> d | None -> Dom.compute ~index f in
+(** Detect all natural loops of [index]'s function, given its dominators.
+    Back edge: [b → h] with [h] dominating [b].  Loops sharing a header are
+    merged. *)
+let compute (index : Func_index.t) (dom : Dom.t) : t =
+  let f = index.cfg.func in
   let back_edges =
     List.concat_map
       (fun (b : Ir.block) ->

@@ -13,7 +13,9 @@ type error = { where : string; what : string }
 
 let pp_error ppf (e : error) = Fmt.pf ppf "%s: %s" e.where e.what
 
-let verify (f : Ir.func) : (unit, error list) result =
+(** Check [f]; on success, return the index and dominators the check
+    built from [f] (the pass manager hands them to the next pass). *)
+let verify (f : Ir.func) : (Func_index.t * Dom.t, error list) result =
   let index = Func_index.make f in
   let errs = ref [] in
   let err where fmt = Printf.ksprintf (fun what -> errs := { where; what } :: !errs) fmt in
@@ -78,13 +80,14 @@ let verify (f : Ir.func) : (unit, error list) result =
       if Func_index.predecessors index e.label <> [] then err e.label "entry block has predecessors"
   | [] -> err f.fname "function has no blocks");
   (* Dominance of uses (only meaningful if structure is sane so far) *)
-  if !errs = [] then begin
-    let dom = Dom.compute ~index f in
+  if !errs <> [] then Error (List.rev !errs)
+  else begin
+    let dom = Dom.compute index.cfg in
     let positions = index.Func_index.positions in
     let def_tbl = index.Func_index.defs in
     let def_id_of r = Option.map (fun (d : Ir.def_site) -> d.di.id) (Hashtbl.find_opt def_tbl r) in
     let check_use (b : Ir.block) (use_id : int) (r : Ir.reg) =
-      if not (List.mem r f.params) then
+      if not (Func_index.is_param index r) then
         match def_id_of r with
         | None -> err b.label "use of undefined register %%%s at #%d" r use_id
         | Some def_id ->
@@ -102,7 +105,7 @@ let verify (f : Ir.func) : (unit, error list) result =
                 List.iter
                   (fun (pred, v) ->
                     match v with
-                    | Ir.Reg r when not (List.mem r f.params) -> (
+                    | Ir.Reg r when not (Func_index.is_param index r) -> (
                         match Hashtbl.find_opt def_tbl r with
                         | None -> err b.label "phi #%d reads undefined %%%s" i.id r
                         | Some d ->
@@ -116,14 +119,14 @@ let verify (f : Ir.func) : (unit, error list) result =
             | _ -> List.iter (check_use b i.id) (Ir.rhs_uses i.rhs))
           (Ir.block_instrs b);
         List.iter (check_use b b.term_id) (Ir.term_uses b.term))
-      f.blocks
-  end;
-  match !errs with [] -> Ok () | es -> Error (List.rev es)
+      f.blocks;
+    match !errs with [] -> Ok (index, dom) | es -> Error (List.rev es)
+  end
 
 (** Raise [Failure] with a readable message if verification fails. *)
 let verify_exn (f : Ir.func) : unit =
   match verify f with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error es ->
       failwith
         (Fmt.str "IR verification failed for @%s:@.%a@.%s" f.fname

@@ -7,13 +7,13 @@ open Import
 
     Performance architecture: each side carries a {!Func_index.t} — an
     immutable snapshot index of its function — and every side analysis
-    (dominators, liveness, loops, positions, defs, ownership) is derived
-    from that index exactly once in {!make_side}.  The context additionally
-    owns the cross-point caches that make the per-point feasibility sweep
-    near-linear: the landing-point table (all landing points of a block from
-    one backward scan) and memo tables for candidate search, re-execution
-    consistency, load-safety walks and gate identification, all of which
-    depend only on the (immutable during analysis) function pair. *)
+    (dominators, liveness, loops) is derived from that index exactly once
+    in {!make_side}.  The context additionally owns the cross-point caches
+    that make the per-point feasibility sweep near-linear: the landing-point
+    table (all landing points of a block from one backward scan) and memo
+    tables for candidate search, re-execution consistency, load-safety
+    walks and gate identification, all of which depend only on the
+    (immutable during analysis) function pair. *)
 
 type direction = Base_to_opt | Opt_to_base
 
@@ -47,26 +47,14 @@ type side = {
   func : Ir.func;
   index : Func_index.t;
   dom : Dom.t;
-  positions : (int, string * int) Hashtbl.t;
   live : Liveness.t;
-  defs : (Ir.reg, Ir.def_site) Hashtbl.t;
-  owner : (int, string) Hashtbl.t;  (** instruction id → block label *)
   loops : Loops.t;
 }
 
 let make_side (f : Ir.func) : side =
   let index = Func_index.make f in
-  let dom = Dom.compute ~index f in
-  {
-    func = f;
-    index;
-    dom;
-    positions = index.Func_index.positions;
-    live = Liveness.compute f;
-    defs = index.Func_index.defs;
-    owner = index.Func_index.owner;
-    loops = Loops.compute ~index ~dom f;
-  }
+  let dom = Dom.compute index.cfg in
+  { func = f; index; dom; live = Liveness.compute f; loops = Loops.compute index dom }
 
 type t = {
   fbase : Ir.func;
@@ -137,7 +125,9 @@ let is_moved (t : t) (id : int) : bool = Hashtbl.mem t.mapper.moved id
    #id" are then the same control state (stores are never moved, so memory
    also agrees — the store invariant of Section 5.3). *)
 let anchor (t : t) (id : int) : bool =
-  Hashtbl.mem t.src.positions id && Hashtbl.mem t.dst.positions id && not (is_moved t id)
+  Hashtbl.mem t.src.index.Func_index.positions id
+  && Hashtbl.mem t.dst.index.Func_index.positions id
+  && not (is_moved t id)
 
 (** The OSR point universe on the source side: every body instruction and
     terminator (φ-nodes are not program locations, mirroring the paper's
@@ -207,7 +197,7 @@ let fork (t : t) : t =
 (* ------------------------------------------------------------------ *)
 
 let in_src_frame (t : t) (r : Ir.reg) : bool =
-  Hashtbl.mem t.src.defs r || Func_index.is_param t.src.index r
+  Hashtbl.mem t.src.index.Func_index.defs r || Func_index.is_param t.src.index r
 
 (* Intern one candidate value: resolve its availability site and liveness
    id once, so point-by-point tests need no further table lookups. *)
@@ -220,10 +210,10 @@ let make_cand (t : t) (v : Ir.value) : cand =
       let akey =
         if Func_index.is_param t.src.index y then Always
         else
-          match Hashtbl.find_opt t.src.defs y with
+          match Hashtbl.find_opt t.src.index.Func_index.defs y with
           | None -> Never
           | Some (d : Ir.def_site) -> (
-              match Hashtbl.find_opt t.src.positions d.di.id with
+              match Func_index.position_of t.src.index d.di.id with
               | None -> Never
               | Some (block, idx) ->
                   let rpo =
@@ -282,7 +272,7 @@ let point_env (t : t) (p : int) : penv =
   | _ ->
       let pe_bits = Liveness.bits_at t.src.live p in
       let e =
-        match Hashtbl.find_opt t.src.positions p with
+        match Func_index.position_of t.src.index p with
         | None -> { pe_block = ""; pe_idx = 0; pe_rpo = -2; pe_bits }
         | Some (block, idx) ->
             let rpo =
@@ -322,9 +312,10 @@ let available_in_src (t : t) ~(src_point : int) (v : Ir.value) : bool =
   | Ir.Undef -> false
   | Ir.Reg y ->
       Func_index.is_param t.src.index y
-      || (match Hashtbl.find_opt t.src.defs y with
+      || (match Hashtbl.find_opt t.src.index.Func_index.defs y with
          | Some (d : Ir.def_site) ->
-             Dom.instr_dominates t.src.dom t.src.positions ~def_id:d.di.id ~use_id:src_point
+             Dom.instr_dominates t.src.dom t.src.index.Func_index.positions ~def_id:d.di.id
+               ~use_id:src_point
          | None -> false)
 
 (** May the destination definition at instruction [def_id] be re-executed
@@ -340,7 +331,7 @@ let reexec_consistent (t : t) ~(def_id : int) ~(landing : int) : bool =
   | Some b -> b
   | None ->
       let b =
-        match (Hashtbl.find_opt t.dst.owner def_id, Hashtbl.find_opt t.dst.owner landing)
+        match (Func_index.owner_of t.dst.index def_id, Func_index.owner_of t.dst.index landing)
         with
         | Some def_block, Some landing_block ->
             List.for_all

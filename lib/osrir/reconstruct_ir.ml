@@ -97,7 +97,7 @@ let load_safe_uncached (t : Osr_ctx.t) ~(def_id : int) ~(landing : int) : bool =
       walk_block label ~after:None
     end
   in
-  match Hashtbl.find_opt t.dst.owner def_id with
+  match Func_index.owner_of t.dst.index def_id with
   | None -> false
   | Some label -> (
       try
@@ -221,7 +221,7 @@ let rec build ?(config = default_config) (t : Osr_ctx.t) (variant : variant) (st
           note (Ir.Reg x')
       | Some { cv = Ir.Undef; _ } | None -> (
           (* 2. Re-execute the destination definition (lines 5–8). *)
-          match Hashtbl.find_opt t.dst.defs x' with
+          match Hashtbl.find_opt t.dst.index.Func_index.defs x' with
           | None -> raise (Undef x')
           | Some (d : Ir.def_site) -> (
               match d.di.rhs with
@@ -286,9 +286,9 @@ let rec build ?(config = default_config) (t : Osr_ctx.t) (variant : variant) (st
                             | Ir.Undef -> false
                             | Ir.Reg y -> (
                                 Func_index.is_param t.dst.index y
-                                || match Hashtbl.find_opt t.dst.defs y with
+                                || match Hashtbl.find_opt t.dst.index.Func_index.defs y with
                                    | Some (dy : Ir.def_site) ->
-                                       Dom.instr_dominates t.dst.dom t.dst.positions
+                                       Dom.instr_dominates t.dst.dom t.dst.index.Func_index.positions
                                          ~def_id:dy.di.id ~use_id:d_term_id
                                    | None -> false)
                           in

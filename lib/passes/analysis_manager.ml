@@ -1,43 +1,28 @@
 open Import
 
-(** The analysis manager: memoizes the function-level analyses
-    ([Func_index], dominators, liveness, natural loops) for one function
-    version, with explicit invalidation.  Mirrors (in miniature) LLVM's
-    analysis-manager/pass-preservation contract:
+(** The analyses one pass of the pipeline reads: the function index and the
+    dominators that the verification of the pass's input built from that
+    very IR (see {!Pass_manager.apply}), and the natural loops, computed
+    from those two on first request.
 
-    - a pass asks for an analysis with {!index} / {!dom} / {!liveness} /
-      {!loops}; the manager computes it at most once per function version;
-    - every pass declares which analyses it {e preserves} when it changes
-      the function (see {!Pass_manager.pass}); after a changing pass run
-      the pass manager calls {!invalidate} with that list and the manager
-      drops everything else;
-    - a pass that reports "no change" preserves everything implicitly.
-
-    Caching is keyed on physical identity of the [Ir.func]: asking for an
-    analysis of a different function resets the whole cache (the manager
-    tracks one function version at a time, which is all the pipeline
-    needs). *)
-
-type analysis = Index | Dominators | Liveness | Loops
-
-(** CFG-shape-preserving passes (no block or edge changes) keep dominators
-    and loop structure valid even while they add, delete, move or rewrite
-    instructions. *)
-let cfg_preserving : analysis list = [ Dominators; Loops ]
+    A manager lives from one verification to the end of the next pass: the
+    pass manager makes a fresh one after every verification, so no analysis
+    outlives the version of the function it describes, whatever a pass
+    reports about its own changes.  A pass that changes the CFG and still
+    needs analyses of its own output (LoopCanon, after a preheader) builds
+    a new manager itself. *)
 
 type t = {
   tel : Telemetry.sink;
-  mutable func : Ir.func option;  (** the function the cache is valid for *)
-  mutable index : Func_index.t option;
-  mutable dom : Dom.t option;
-  mutable live : Liveness.t option;
+  index : Func_index.t;
+  dom : Dom.t;
   mutable loops : Loops.t option;
 }
 
-(* Cache statistics, one hit/miss pair per analysis plus the invalidation
-   count — the numbers behind `--stats` and the EXPERIMENTS.md cache table. *)
+(* One computed/read pair per analysis — the numbers behind `--stats` and
+   the [am.*] lines of the cost gate ([test/costs.expected]). *)
 let stat_hit (what : string) =
-  Telemetry.counter ~group:"am" (what ^ ".hit") ~desc:("cached " ^ what ^ " reused")
+  Telemetry.counter ~group:"am" (what ^ ".hit") ~desc:(what ^ " read by a pass")
 
 let stat_miss (what : string) =
   Telemetry.counter ~group:"am" (what ^ ".miss") ~desc:(what ^ " computed")
@@ -48,107 +33,31 @@ and miss_index = stat_miss "index"
 let hit_dom = stat_hit "dom"
 and miss_dom = stat_miss "dom"
 
-let hit_live = stat_hit "liveness"
-and miss_live = stat_miss "liveness"
-
 let hit_loops = stat_hit "loops"
 and miss_loops = stat_miss "loops"
 
-let stat_invalidated =
-  Telemetry.counter ~group:"am" "invalidated"
-    ~desc:"cached analyses dropped after a changing pass"
+(** A manager over [index] and [dom], both just built from the same
+    version of the function. *)
+let create ~(telemetry : Telemetry.sink) (index : Func_index.t) (dom : Dom.t) : t =
+  Telemetry.bump telemetry miss_index;
+  Telemetry.bump telemetry miss_dom;
+  { tel = telemetry; index; dom; loops = None }
 
-let create ?(telemetry = Telemetry.null) () : t =
-  { tel = telemetry; func = None; index = None; dom = None; live = None; loops = None }
+let index (t : t) : Func_index.t =
+  Telemetry.bump t.tel hit_index;
+  t.index
 
-let clear (t : t) : unit =
-  t.index <- None;
-  t.dom <- None;
-  t.live <- None;
-  t.loops <- None
+let dom (t : t) : Dom.t =
+  Telemetry.bump t.tel hit_dom;
+  t.dom
 
-(* Retarget the cache when asked about a different function. *)
-let bind (t : t) (f : Ir.func) : unit =
-  match t.func with
-  | Some g when g == f -> ()
-  | _ ->
-      t.func <- Some f;
-      clear t
-
-let index (t : t) (f : Ir.func) : Func_index.t =
-  bind t f;
-  match t.index with
-  | Some i ->
-      Telemetry.bump t.tel hit_index;
-      i
-  | None ->
-      Telemetry.bump t.tel miss_index;
-      let i = Func_index.make f in
-      t.index <- Some i;
-      i
-
-let dom (t : t) (f : Ir.func) : Dom.t =
-  bind t f;
-  match t.dom with
-  | Some d ->
-      Telemetry.bump t.tel hit_dom;
-      d
-  | None ->
-      Telemetry.bump t.tel miss_dom;
-      let d = Dom.compute ~index:(index t f) f in
-      t.dom <- Some d;
-      d
-
-let liveness (t : t) (f : Ir.func) : Liveness.t =
-  bind t f;
-  match t.live with
-  | Some l ->
-      Telemetry.bump t.tel hit_live;
-      l
-  | None ->
-      Telemetry.bump t.tel miss_live;
-      let l = Liveness.compute f in
-      t.live <- Some l;
-      l
-
-let loops (t : t) (f : Ir.func) : Loops.t =
-  bind t f;
+let loops (t : t) : Loops.t =
   match t.loops with
   | Some l ->
       Telemetry.bump t.tel hit_loops;
       l
   | None ->
       Telemetry.bump t.tel miss_loops;
-      let l = Loops.compute ~index:(index t f) ~dom:(dom t f) f in
+      let l = Loops.compute t.index t.dom in
       t.loops <- Some l;
       l
-
-(* Convenience entry points for passes taking an optional manager: with a
-   manager they hit the cache, without one they compute from scratch
-   (standalone pass invocations in tests keep working unchanged). *)
-
-let index_of ?(am : t option) (f : Ir.func) : Func_index.t =
-  match am with Some t -> index t f | None -> Func_index.make f
-
-let dom_of ?(am : t option) (f : Ir.func) : Dom.t =
-  match am with Some t -> dom t f | None -> Dom.compute f
-
-let loops_of ?(am : t option) (f : Ir.func) : Loops.t =
-  match am with Some t -> loops t f | None -> Loops.compute f
-
-(** Drop every cached analysis not in [preserved].  Called by the pass
-    manager after a pass reports it changed the function. *)
-let invalidate ?(preserved : analysis list = []) (t : t) : unit =
-  let keep a = List.mem a preserved in
-  let drop : 'a. 'a option -> 'a option =
-   fun cached ->
-    match cached with
-    | Some _ ->
-        Telemetry.bump t.tel stat_invalidated;
-        None
-    | None -> None
-  in
-  if not (keep Index) then t.index <- drop t.index;
-  if not (keep Dominators) then t.dom <- drop t.dom;
-  if not (keep Liveness) then t.live <- drop t.live;
-  if not (keep Loops) then t.loops <- drop t.loops

@@ -11,9 +11,8 @@ let stat_folded = Telemetry.counter ~group:"cp" "folded" ~desc:"constant instruc
 let stat_phi =
   Telemetry.counter ~group:"cp" "phi" ~desc:"single-value phi-nodes simplified"
 
-let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
-    (f : Ir.func) : bool =
-  let tel = match mapper with Some m -> Code_mapper.telemetry m | None -> Telemetry.null in
+let run ~(mapper : Code_mapper.t) ~am:(_ : Analysis_manager.t) (f : Ir.func) : bool =
+  let tel = Code_mapper.telemetry mapper in
   let changed = ref false in
   let continue_ = ref true in
   while !continue_ do
@@ -27,8 +26,8 @@ let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
       match (Fold.fold_rhs i.rhs, i.result) with
       | Some n, Some r ->
           let old_value = Ir.Reg r and new_value = Ir.Const n in
-          Option.iter (fun m -> Code_mapper.replace_all_uses m ~old_value ~new_value) mapper;
-          Option.iter (fun m -> Code_mapper.delete_instr m i) mapper;
+          Code_mapper.replace_all_uses mapper ~old_value ~new_value;
+          Code_mapper.delete_instr mapper i;
           Telemetry.bump tel stat_folded;
           Telemetry.remark tel ~pass:"CP" ~func:f.fname ~block:b.label ~instr:i.id
             (fun () -> Printf.sprintf "folded %%%s to %d" r n);
@@ -54,10 +53,8 @@ let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
         when List.for_all (fun (_, v) -> Ir.equal_value v v0) rest
              && not (Ir.equal_value v0 (Ir.Reg r)) ->
           let old_value = Ir.Reg r in
-          Option.iter
-            (fun m -> Code_mapper.replace_all_uses m ~old_value ~new_value:v0)
-            mapper;
-          Option.iter (fun m -> Code_mapper.delete_instr m i) mapper;
+          Code_mapper.replace_all_uses mapper ~old_value ~new_value:v0;
+          Code_mapper.delete_instr mapper i;
           Telemetry.bump tel stat_phi;
           Telemetry.remark tel ~pass:"CP" ~func:f.fname ~block:b.label ~instr:i.id
             (fun () ->

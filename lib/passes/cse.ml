@@ -43,11 +43,10 @@ let rhs_key (rhs : Ir.rhs) : string option =
 let stat_expr = Telemetry.counter ~group:"cse" "expr" ~desc:"redundant pure expressions eliminated"
 let stat_load = Telemetry.counter ~group:"cse" "load" ~desc:"redundant loads forwarded"
 
-let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : Ir.func) :
-    bool =
-  let tel = match mapper with Some m -> Code_mapper.telemetry m | None -> Telemetry.null in
+let run ~(mapper : Code_mapper.t) ~(am : Analysis_manager.t) (f : Ir.func) : bool =
+  let tel = Code_mapper.telemetry mapper in
   let changed = ref false in
-  let dom = Analysis_manager.dom_of ?am f in
+  let dom = Analysis_manager.dom am in
   let children = Mem2reg.dom_children dom in
   let avail : (string, Ir.value) Hashtbl.t = Hashtbl.create 64 in
   let avail_loads : (string, Ir.value * int) Hashtbl.t = Hashtbl.create 16 in
@@ -86,11 +85,8 @@ let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : 
               | Some (v, gen), Some r when gen = !generation ->
                   (* Available load (or store-forwarded value) from the
                      current generation: reuse it. *)
-                  Option.iter
-                    (fun m ->
-                      Code_mapper.replace_all_uses m ~old_value:(Ir.Reg r) ~new_value:v;
-                      Code_mapper.delete_instr m i)
-                    mapper;
+                  Code_mapper.replace_all_uses mapper ~old_value:(Ir.Reg r) ~new_value:v;
+                  Code_mapper.delete_instr mapper i;
                   Telemetry.bump tel stat_load;
                   Telemetry.remark tel ~pass:"CSE" ~func:f.fname ~block:label ~instr:i.id
                     (fun () ->
@@ -107,11 +103,8 @@ let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : 
               | Some key, Some r -> (
                   match Hashtbl.find_opt avail key with
                   | Some v ->
-                      Option.iter
-                        (fun m ->
-                          Code_mapper.replace_all_uses m ~old_value:(Ir.Reg r) ~new_value:v;
-                          Code_mapper.delete_instr m i)
-                        mapper;
+                      Code_mapper.replace_all_uses mapper ~old_value:(Ir.Reg r) ~new_value:v;
+                      Code_mapper.delete_instr mapper i;
                       Telemetry.bump tel stat_expr;
                       Telemetry.remark tel ~pass:"CSE" ~func:f.fname ~block:label ~instr:i.id
                         (fun () ->

@@ -41,16 +41,15 @@ let outside_users (f : Ir.func) (l : Loops.loop) (defined : Ir.reg list) : Ir.re
     let instrs, terms = Hashtbl.find tbl r in
     List.rev_append !instrs (List.rev !terms)
 
-let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : Ir.func) :
-    bool =
+let run ~(mapper : Code_mapper.t) ~(am : Analysis_manager.t) (f : Ir.func) : bool =
   let changed = ref false in
-  let loop_info = Analysis_manager.loops_of ?am f in
+  let loop_info = Analysis_manager.loops am in
   (* φ insertion never adds or removes blocks or edges, so [loop_info.dom]
      and the index's blocks and predecessors stay valid for the whole
      pass.  The def table is a snapshot of the input: registers of
      φ-nodes this pass inserts are not in it and never get a φ of their
      own. *)
-  let index = Analysis_manager.index_of ?am f in
+  let index = Analysis_manager.index am in
   let dom = loop_info.dom in
   let def_tbl = Ir.def_table f in
   List.iter
@@ -101,10 +100,9 @@ let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : 
                         let phi_reg = Ir.Reg (Option.get phi.result) in
                         eb.phis <- eb.phis @ [ phi ];
                         (* The φ alone already mutates the function, even if
-                           no outside use ends up rewritten below — report
-                           the change or cached analyses go stale. *)
+                           no outside use ends up rewritten below. *)
                         changed := true;
-                        Option.iter (fun m -> Code_mapper.add_instr m phi ~block:exit_label) mapper;
+                        Code_mapper.add_instr mapper phi ~block:exit_label;
                         let subst v = if Ir.equal_value v (Ir.Reg r) then phi_reg else v in
                         List.iter
                           (fun u ->
@@ -120,11 +118,8 @@ let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : 
                                     (* The mapper records only the user's id. *)
                                     { Ir.id = ub.term_id; result = None; rhs = Ir.Alloca 0 }
                               in
-                              Option.iter
-                                (fun m ->
-                                  Code_mapper.replace_use_in m ~inst ~old_value:(Ir.Reg r)
-                                    ~new_value:phi_reg)
-                                mapper;
+                              Code_mapper.replace_use_in mapper ~inst ~old_value:(Ir.Reg r)
+                                ~new_value:phi_reg;
                               changed := true
                             end)
                           users

@@ -17,12 +17,11 @@ open Import
 let stat_hoisted =
   Telemetry.counter ~group:"licm" "hoisted" ~desc:"loop-invariant instructions moved to preheaders"
 
-let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : Ir.func) :
-    bool =
-  let tel = match mapper with Some m -> Code_mapper.telemetry m | None -> Telemetry.null in
+let run ~(mapper : Code_mapper.t) ~(am : Analysis_manager.t) (f : Ir.func) : bool =
+  let tel = Code_mapper.telemetry mapper in
   let changed = ref false in
-  let loop_info = Analysis_manager.loops_of ?am f in
-  let index = Analysis_manager.index_of ?am f in
+  let loop_info = Analysis_manager.loops am in
+  let index = Analysis_manager.index am in
   List.iter
     (fun (l : Loops.loop) ->
       match Loops.preheader f l with
@@ -107,10 +106,7 @@ let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : 
                               Printf.sprintf "hoisted %s from loop %s to preheader %s"
                                 (match i.result with Some r -> "%" ^ r | None -> "#" ^ string_of_int i.id)
                                 l.header ph_label);
-                          Option.iter
-                            (fun m ->
-                              Code_mapper.hoist_instr m i ~from_block:label ~to_block:ph_label)
-                            mapper)
+                          Code_mapper.hoist_instr mapper i ~from_block:label ~to_block:ph_label)
                         to_hoist
                     end)
               l.body

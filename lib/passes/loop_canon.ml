@@ -7,15 +7,25 @@ open Import
     merge, a new φ in the preheader collects them (those new φ-nodes are
     the "extra ϕ-nodes commonly generated during canonicalization" of
     Table 2's discussion).  OSR-aware: inserted φ-nodes are recorded as
-    [add] actions. *)
+    [add] actions.
 
-let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
-    (f : Ir.func) : bool =
+    The first round reads the loops of the manager's analyses; a preheader
+    changes the CFG, so every later round rebuilds the index and dominators
+    itself — the one pass of the pipeline that does. *)
+
+let run ~(mapper : Code_mapper.t) ~(am : Analysis_manager.t) (f : Ir.func) : bool =
   let changed = ref false in
+  let am = ref am in
   let continue_ = ref true in
   while !continue_ do
     continue_ := false;
-    let loop_info = Loops.compute f in
+    if !changed then begin
+      let index = Func_index.make f in
+      am :=
+        Analysis_manager.create ~telemetry:(Code_mapper.telemetry mapper) index
+          (Dom.compute index.cfg)
+    end;
+    let loop_info = Analysis_manager.loops !am in
     let needs_preheader =
       List.find_opt (fun l -> Loops.preheader f l = None) loop_info.loops
     in
@@ -94,9 +104,7 @@ let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
                               }
                             in
                             ph.phis <- ph.phis @ [ merge ];
-                            Option.iter
-                              (fun m -> Code_mapper.add_instr m merge ~block:ph_label)
-                              mapper;
+                            Code_mapper.add_instr mapper merge ~block:ph_label;
                             Ir.Reg (Option.get merge.result)
                           end
                     in

@@ -55,11 +55,11 @@ let promotable_slots (f : Ir.func) : Ir.reg list * (Ir.reg, unit) Hashtbl.t =
   end;
   (List.filter (Hashtbl.mem is_slot) candidates, is_slot)
 
-let run ?(am : Analysis_manager.t option) (f : Ir.func) : bool =
+let run (f : Ir.func) : bool =
   let slots, is_slot = promotable_slots f in
   if slots = [] then false
   else begin
-    let dom = Analysis_manager.dom_of ?am f in
+    let dom = Dom.compute (Func_index.make_cfg f) in
     let df = Dom.frontiers dom in
     let children = dom_children dom in
     let block_of = Ir.block_table f in
@@ -100,8 +100,7 @@ let run ?(am : Analysis_manager.t option) (f : Ir.func) : bool =
               if not (Hashtbl.mem placed d) then begin
                 Hashtbl.add placed d ();
                 let blk = block_exn d in
-                (* [dom.preds] lists predecessors in reverse block order. *)
-                let ps = List.rev (Option.value ~default:[] (Hashtbl.find_opt dom.preds d)) in
+                let ps = Func_index.cfg_predecessors dom.cfg d in
                 let phi =
                   {
                     Ir.id = Ir.fresh_id f;

@@ -6,59 +6,26 @@ open Import
     primitive action, verify SSA after each pass, and hand back everything
     the OSR layer needs.
 
-    Analyses (dominators, liveness, loops, the function index) are owned
-    by an {!Analysis_manager.t} shared across the pipeline: each pass
-    declares which analyses it preserves {e when it changes the function},
-    and the manager invalidates the rest; a pass that reports no change
-    preserves everything. *)
+    The verifier is the one producer of the analyses a pass reads: each
+    verification builds the function index and dominators from the IR it
+    checks, and the next pass receives them in a fresh
+    {!Analysis_manager.t}.  Nothing is cached across a pass, so a pass
+    declares nothing about what it keeps valid. *)
 
 type pass = {
   pname : string;
-  run : ?mapper:Code_mapper.t -> ?am:Analysis_manager.t -> Ir.func -> bool;
-  instrumented : bool;
-      (** does this pass record CodeMapper actions (Table 1's pass set)? *)
-  preserves : Analysis_manager.analysis list;
-      (** analyses still valid after this pass changed the function *)
+  run : mapper:Code_mapper.t -> am:Analysis_manager.t -> Ir.func -> bool;
+      (** did the pass change the function? *)
 }
 
-let mem2reg : pass =
-  {
-    pname = "mem2reg";
-    run = (fun ?mapper:_ ?am f -> Mem2reg.run ?am f);
-    instrumented = false;
-    preserves = Analysis_manager.cfg_preserving;
-  }
-
-let constprop : pass =
-  { pname = "CP"; run = Constprop.run; instrumented = true;
-    preserves = Analysis_manager.cfg_preserving }
-
-(* SCCP folds branches and deletes unreachable blocks: nothing survives. *)
-let sccp : pass = { pname = "SCCP"; run = Sccp.run; instrumented = true; preserves = [] }
-
-let cse : pass =
-  { pname = "CSE"; run = Cse.run; instrumented = true;
-    preserves = Analysis_manager.cfg_preserving }
-
-let adce : pass =
-  { pname = "ADCE"; run = Adce.run; instrumented = true;
-    preserves = Analysis_manager.cfg_preserving }
-
-(* LoopCanon inserts preheader blocks and rewires edges: nothing survives. *)
-let loop_canon : pass =
-  { pname = "LC"; run = Loop_canon.run; instrumented = true; preserves = [] }
-
-let lcssa : pass =
-  { pname = "LCSSA"; run = Lcssa.run; instrumented = true;
-    preserves = Analysis_manager.cfg_preserving }
-
-let licm : pass =
-  { pname = "LICM"; run = Licm.run; instrumented = true;
-    preserves = Analysis_manager.cfg_preserving }
-
-let sink : pass =
-  { pname = "Sink"; run = Sink.run; instrumented = true;
-    preserves = Analysis_manager.cfg_preserving }
+let constprop : pass = { pname = "CP"; run = Constprop.run }
+let sccp : pass = { pname = "SCCP"; run = Sccp.run }
+let cse : pass = { pname = "CSE"; run = Cse.run }
+let adce : pass = { pname = "ADCE"; run = Adce.run }
+let loop_canon : pass = { pname = "LC"; run = Loop_canon.run }
+let lcssa : pass = { pname = "LCSSA"; run = Lcssa.run }
+let licm : pass = { pname = "LICM"; run = Licm.run }
+let sink : pass = { pname = "Sink"; run = Sink.run }
 
 (** The optimization pipeline of Section 5.4 (ADCE, CP, CSE, LICM, SCCP,
     Sink, plus the LC and LCSSA utility passes LICM requires). *)
@@ -72,7 +39,9 @@ type apply_result = {
   per_pass : (string * Code_mapper.counts) list;  (** actions recorded by each pass *)
 }
 
-exception Verification_failed of string * string  (** pass name, details *)
+exception Verification_failed of string * string
+(** culprit — the pass name, or ["input"] when [apply]'s argument itself
+    fails verification — and the verifier's errors *)
 
 (* Sandboxing counter: passes undone after a failed post-pass
    verification. *)
@@ -89,21 +58,37 @@ let restore_func (dst : Ir.func) ~(from_ : Ir.func) : unit =
   dst.Ir.next_reg <- from_.Ir.next_reg
 
 (** Clone [f] and optimize the clone with [pipeline], recording actions.
-    The SSA verifier runs after every pass.  With [sandbox] (the default),
-    each pass runs transactionally: a verification failure rolls the
-    function {e and} the mapper history back to their pre-pass state,
-    emits a remark, bumps [pass.rolled_back], and the pipeline continues
-    with the remaining passes — a miscompiling pass degrades to a no-op
-    instead of killing the compilation.  With [sandbox:false] a failure
-    raises {!Verification_failed} naming the culprit (the debugging mode).
-    With a live [telemetry] sink each pass runs under a span named after
-    it (the [-time-passes] rows), the verifier under ["verify"], and the
+    The SSA verifier checks the clone before the first pass and after
+    every pass, and each pass reads the index and dominators of the
+    verification before it.  [f] must verify, or {!Verification_failed}
+    names ["input"].  With [sandbox] (the default), each pass runs
+    transactionally: a verification failure rolls the function {e and}
+    the mapper history back to their pre-pass state (verifying the
+    restored copy again, for the next pass's analyses), emits a remark,
+    bumps [pass.rolled_back], and the pipeline continues with the
+    remaining passes — a miscompiling pass degrades to a no-op instead of
+    killing the compilation.  With [sandbox:false] a failure raises
+    {!Verification_failed} naming the culprit (the debugging mode).  With
+    a live [telemetry] sink each pass runs under a span named after it
+    (the [-time-passes] rows), the verifier under ["verify"], and the
     mapper/analysis-manager statistics accumulate. *)
 let apply ?(pipeline = standard_pipeline) ?(sandbox = true) ?(telemetry = Telemetry.null)
     (f : Ir.func) : apply_result =
   let fopt = Ir.clone_func f in
   let mapper = Code_mapper.create ~telemetry () in
-  let am = Analysis_manager.create ~telemetry () in
+  let verify () =
+    match
+      Telemetry.with_span telemetry ~cat:"verify" "verify" (fun () -> Verifier.verify fopt)
+    with
+    | Ok (index, dom) -> Ok (Analysis_manager.create ~telemetry index dom)
+    | Error es -> Error (Fmt.str "%a" (Fmt.list ~sep:Fmt.cut Verifier.pp_error) es)
+  in
+  let verify_exn culprit =
+    match verify () with
+    | Ok am -> am
+    | Error details -> raise (Verification_failed (culprit, details))
+  in
+  let am = ref (verify_exn "input") in
   let per_pass = ref [] in
   List.iter
     (fun (p : pass) ->
@@ -111,23 +96,17 @@ let apply ?(pipeline = standard_pipeline) ?(sandbox = true) ?(telemetry = Teleme
       let pre =
         if sandbox then Some (Ir.clone_func fopt, Code_mapper.snapshot mapper) else None
       in
-      let changed =
-        Telemetry.with_span telemetry ~cat:"pass" p.pname (fun () -> p.run ~mapper ~am fopt)
-      in
-      if changed then Analysis_manager.invalidate ~preserved:p.preserves am;
-      (match
-         Telemetry.with_span telemetry ~cat:"verify" "verify" (fun () -> Verifier.verify fopt)
-       with
-      | Ok () -> ()
-      | Error es -> (
-          let details = Fmt.str "%a" (Fmt.list ~sep:Fmt.cut Verifier.pp_error) es in
+      ignore
+        (Telemetry.with_span telemetry ~cat:"pass" p.pname (fun () -> p.run ~mapper ~am:!am fopt)
+          : bool);
+      (match verify () with
+      | Ok next -> am := next
+      | Error details -> (
           match pre with
           | Some (pre_ir, pre_mapper) ->
               restore_func fopt ~from_:pre_ir;
               Code_mapper.restore mapper pre_mapper;
-              (* The restored IR matches no cached analysis of the broken
-                 one. *)
-              Analysis_manager.invalidate ~preserved:[] am;
+              am := verify_exn p.pname;
               Telemetry.bump telemetry stat_rolled_back;
               Telemetry.remark telemetry ~pass:p.pname ~func:fopt.Ir.fname (fun () ->
                   "pass rolled back: post-pass verification failed: " ^ details)

@@ -20,8 +20,7 @@ let meet (a : lattice) (b : lattice) : lattice =
   | Const x, Const y -> if x = y then Const x else Bottom
   | Bottom, _ | _, Bottom -> Bottom
 
-let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
-    (f : Ir.func) : bool =
+let run ~(mapper : Code_mapper.t) ~am:(_ : Analysis_manager.t) (f : Ir.func) : bool =
   let changed = ref false in
   let state : (Ir.reg, lattice) Hashtbl.t = Hashtbl.create 64 in
   let get_state r =
@@ -186,12 +185,8 @@ let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
       | Const n -> (
           match Hashtbl.find_opt def_tbl r with
           | Some (d : Ir.def_site) when not (Ir.has_side_effects d.di.rhs) ->
-              Option.iter
-                (fun m ->
-                  Code_mapper.replace_all_uses m ~old_value:(Ir.Reg r)
-                    ~new_value:(Ir.Const n);
-                  Code_mapper.delete_instr m d.di)
-                mapper;
+              Code_mapper.replace_all_uses mapper ~old_value:(Ir.Reg r) ~new_value:(Ir.Const n);
+              Code_mapper.delete_instr mapper d.di;
               replace_everywhere (Ir.Reg r) (Ir.Const n);
               let blk = Ir.block_exn f d.block in
               blk.phis <- List.filter (fun (j : Ir.instr) -> j.id <> d.di.id) blk.phis;
@@ -229,7 +224,7 @@ let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
     List.iter
       (fun (b : Ir.block) ->
         List.iter
-          (fun i -> Option.iter (fun m -> Code_mapper.delete_instr m i) mapper)
+          (fun i -> Code_mapper.delete_instr mapper i)
           (Ir.block_instrs b))
       removed;
     let removed_labels = List.map (fun (b : Ir.block) -> b.label) removed in
@@ -254,11 +249,8 @@ let run ?(mapper : Code_mapper.t option) ?am:(_ : Analysis_manager.t option)
           (fun (i : Ir.instr) ->
             match (i.rhs, i.result) with
             | Ir.Phi [ (_, v) ], Some r ->
-                Option.iter
-                  (fun m ->
-                    Code_mapper.replace_all_uses m ~old_value:(Ir.Reg r) ~new_value:v;
-                    Code_mapper.delete_instr m i)
-                  mapper;
+                Code_mapper.replace_all_uses mapper ~old_value:(Ir.Reg r) ~new_value:v;
+                Code_mapper.delete_instr mapper i;
                 replace_everywhere (Ir.Reg r) v;
                 changed := true;
                 false

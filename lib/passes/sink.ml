@@ -17,12 +17,11 @@ let sinkable_rhs : Ir.rhs -> bool = function
   | Ir.Call (name, _) -> Ir.is_pure_call name
   | Ir.Load _ | Ir.Store _ | Ir.Alloca _ | Ir.Phi _ -> false
 
-let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : Ir.func) :
-    bool =
+let run ~(mapper : Code_mapper.t) ~(am : Analysis_manager.t) (f : Ir.func) : bool =
   let changed = ref false in
   (* Sinking moves instructions but never touches blocks or edges, so one
      dominator tree serves every fixpoint iteration. *)
-  let dom = Analysis_manager.dom_of ?am f in
+  let dom = Analysis_manager.dom am in
   let continue_ = ref true in
   while !continue_ do
     continue_ := false;
@@ -61,10 +60,7 @@ let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : 
                             let tb = Ir.block_exn f target in
                             b.body <- List.filter (fun (j : Ir.instr) -> j.id <> i.id) b.body;
                             tb.body <- i :: tb.body;
-                            Option.iter
-                              (fun m ->
-                                Code_mapper.sink_instr m i ~from_block:b.label ~to_block:target)
-                              mapper;
+                            Code_mapper.sink_instr mapper i ~from_block:b.label ~to_block:target;
                             changed := true;
                             continue_ := true
                         | _ -> ()

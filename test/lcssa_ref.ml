@@ -6,13 +6,13 @@
 module Ir = Miniir.Ir
 module Dom = Miniir.Dom
 module Loops = Miniir.Loops
-module Analysis_manager = Passes.Analysis_manager
+module Func_index = Miniir.Func_index
 module Code_mapper = Passes.Code_mapper
 
-let run ?(mapper : Code_mapper.t option) ?(am : Analysis_manager.t option) (f : Ir.func) :
-    bool =
+let run ~(mapper : Code_mapper.t) (f : Ir.func) : bool =
+  let mapper = Some mapper in
   let changed = ref false in
-  let loop_info = Analysis_manager.loops_of ?am f in
+  let loop_info = let index = Func_index.make f in Loops.compute index (Dom.compute index.cfg) in
   (* φ insertion never adds or removes blocks or edges, so [loop_info.dom]
      stays valid for every dominance query below.  The def table only gains
      entries (each inserted φ defines a fresh register) and existing sites

@@ -6,7 +6,7 @@
 
 module Ir = Miniir.Ir
 module Dom = Miniir.Dom
-module Analysis_manager = Passes.Analysis_manager
+module Func_index = Miniir.Func_index
 
 (** mem2reg: promote alloca slots that are only loaded and stored into SSA
     registers, inserting φ-nodes at iterated dominance frontiers and
@@ -49,7 +49,7 @@ let dom_children (dom : Dom.t) : (string, string list) Hashtbl.t =
     dom.order;
   children
 
-let run ?(am : Analysis_manager.t option) (f : Ir.func) : bool =
+let run (f : Ir.func) : bool =
   let slots =
     List.concat_map
       (fun (b : Ir.block) ->
@@ -64,7 +64,7 @@ let run ?(am : Analysis_manager.t option) (f : Ir.func) : bool =
   if slots = [] then false
   else begin
     let slot_names = List.map fst slots in
-    let dom = Analysis_manager.dom_of ?am f in
+    let dom = Dom.compute (Func_index.make_cfg f) in
     let df = Dom.frontiers dom in
     let children = dom_children dom in
     (* Blocks storing to each slot. *)

@@ -78,14 +78,14 @@ let test_verifier_catches () =
   in
   (match Verifier.verify (bad_use ()) with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "verifier missed non-dominating use");
+  | Ok _ -> Alcotest.fail "verifier missed non-dominating use");
   let double_def =
     Miniir.Ir_parser.parse_func
       "func @f(%x) {\nentry:\n  %t = add %x, 1\n  %t = add %x, 2\n  ret %t\n}\n"
   in
   match Verifier.verify double_def with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "verifier missed double definition"
+  | Ok _ -> Alcotest.fail "verifier missed double definition"
 
 let test_verifier_phi_shape () =
   let f =
@@ -104,11 +104,11 @@ let test_verifier_phi_shape () =
   (* head has two predecessors (entry, head) but the φ lists only one. *)
   match Verifier.verify f with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "verifier missed φ/predecessor mismatch"
+  | Ok _ -> Alcotest.fail "verifier missed φ/predecessor mismatch"
 
 let test_dominance () =
   let f = sum_func () in
-  let dom = Dom.compute f in
+  let dom = Dom.compute (Miniir.Func_index.make_cfg f) in
   Alcotest.(check bool) "entry dominates exit" true
     (Dom.dominates_block dom ~a:"entry" ~b:"exit");
   Alcotest.(check bool) "head dominates body" true (Dom.dominates_block dom ~a:"head" ~b:"body");
@@ -130,7 +130,7 @@ let test_dominance_frontier () =
       \  ret %x\n\
        }\n"
   in
-  let df = Dom.frontiers (Dom.compute f) in
+  let df = Dom.frontiers (Dom.compute (Miniir.Func_index.make_cfg f)) in
   Alcotest.(check (list string)) "df(a)" [ "join" ] (Hashtbl.find df "a");
   Alcotest.(check (list string)) "df(b)" [ "join" ] (Hashtbl.find df "b");
   Alcotest.(check (list string)) "df(entry)" [] (Hashtbl.find df "entry")
@@ -152,7 +152,8 @@ let test_liveness () =
 
 let test_loops () =
   let f = sum_func () in
-  let li = Loops.compute f in
+  let index = Miniir.Func_index.make f in
+  let li = Loops.compute index (Dom.compute index.cfg) in
   match li.loops with
   | [ l ] ->
       Alcotest.(check string) "header" "head" l.header;
@@ -234,7 +235,7 @@ let test_clone_independent () =
 let prop_generated_verify =
   QCheck.Test.make ~count:150 ~name:"generated IR verifies" Gen_ir.arb_func (fun f ->
       match Verifier.verify f with
-      | Ok () -> true
+      | Ok _ -> true
       | Error es ->
           QCheck.Test.fail_reportf "%a" (Fmt.list ~sep:Fmt.cut Verifier.pp_error) es)
 
@@ -349,7 +350,6 @@ let prop_func_index_consistent =
           (match (Miniir.Func_index.find_block idx b.label, Ir.find_block f b.label) with
           | Some b1, Some b2 -> b1 == b2
           | _ -> false)
-          && Miniir.Func_index.successors idx b.label = Ir.successors b
           && List.sort compare (Miniir.Func_index.predecessors idx b.label)
              = List.sort compare (Ir.predecessors f b.label))
         f.blocks

@@ -58,7 +58,7 @@ let test_landing_points () =
       match Ctx.landing_point ctx p with
       | Some landing ->
           Alcotest.(check bool) "landing exists in fopt" true
-            (Hashtbl.mem ctx.dst.positions landing)
+            (Hashtbl.mem ctx.dst.index.Miniir.Func_index.positions landing)
       | None -> ())
     points
 
@@ -89,7 +89,7 @@ let test_contfun_verifies () =
     (fun (t : S.transition) ->
       let cont = Osrir.Contfun.generate t.target ~landing:t.landing t.plan in
       match Miniir.Verifier.verify cont.fto with
-      | Ok () -> ()
+      | Ok _ -> ()
       | Error es ->
           Alcotest.failf "f'to for %d→%d does not verify: %a@.%s" t.point t.landing
             (Fmt.list ~sep:Fmt.cut Miniir.Verifier.pp_error)
@@ -310,7 +310,7 @@ let prop_contfuns_verify =
         (fun (t : S.transition) ->
           let cont = Osrir.Contfun.generate t.target ~landing:t.landing t.plan in
           match Miniir.Verifier.verify cont.fto with
-          | Ok () -> true
+          | Ok _ -> true
           | Error es ->
               QCheck.Test.fail_reportf "%a@.%s"
                 (Fmt.list ~sep:Fmt.cut Miniir.Verifier.pp_error)

@@ -11,6 +11,15 @@ module AM = Passes.Analysis_manager
 
 let parse = Miniir.Ir_parser.parse_func
 
+(* Run one pass on its own the way the pass manager does: on a function
+   that verifies, reading the index and dominators of that verification. *)
+let run_pass ~(mapper : CM.t) (run : mapper:CM.t -> am:AM.t -> Ir.func -> bool) (f : Ir.func) :
+    bool =
+  match Verifier.verify f with
+  | Ok (index, dom) -> run ~mapper ~am:(AM.create ~telemetry:Telemetry.null index dom) f
+  | Error es ->
+      Alcotest.failf "input does not verify: %a" (Fmt.list ~sep:Fmt.cut Verifier.pp_error) es
+
 let run_int f args =
   match Interp.run f ~args with
   | Ok o -> o.Interp.ret
@@ -68,8 +77,7 @@ let test_mem2reg_keeps_escaping () =
   Alcotest.(check int) "still correct" 9 (run_int g [ 9 ])
 
 (* Differential: the one-scan mem2reg against the per-slot-rescan
-   reference, with and without an analysis manager: the same return value
-   and byte-identical IR text. *)
+   reference: the same return value and byte-identical IR text. *)
 let mem2reg_agrees (f : Ir.func) : bool =
   let run m2r =
     let g = Ir.clone_func f in
@@ -78,7 +86,6 @@ let mem2reg_agrees (f : Ir.func) : bool =
   in
   let reference = run (fun g -> Mem2reg_ref.run g) in
   reference = run (fun g -> Passes.Mem2reg.run g)
-  && reference = run (fun g -> Passes.Mem2reg.run ~am:(AM.create ()) g)
 
 let test_mem2reg_matches_reference_corpus () =
   List.iter
@@ -277,7 +284,7 @@ entry:
 let test_constprop_folds () =
   let f = parse "func @f(%x) {\nentry:\n  %a = add 2, 3\n  %b = mul %a, 4\n  %c = add %b, %x\n  ret %c\n}\n" in
   let m = CM.create () in
-  let changed = Passes.Constprop.run ~mapper:m f in
+  let changed = run_pass ~mapper:m Passes.Constprop.run f in
   Alcotest.(check bool) "changed" true changed;
   Verifier.verify_exn f;
   Alcotest.(check int) "a and b folded away" 1 (Ir.instr_count f);
@@ -288,7 +295,7 @@ let test_constprop_folds () =
 
 let test_constprop_keeps_trapping_div () =
   let f = parse "func @f(%x) {\nentry:\n  %a = sdiv 1, 0\n  ret %a\n}\n" in
-  let _ = Passes.Constprop.run f in
+  let _ = run_pass ~mapper:(CM.create ()) Passes.Constprop.run f in
   (match Interp.run f ~args:[ 0 ] with
   | Error (Interp.Division_by_zero _) -> ()
   | r -> Alcotest.failf "div by zero must survive folding: %a" Interp.pp_result r)
@@ -305,7 +312,7 @@ let test_cse_dedups () =
        }\n"
   in
   let m = CM.create () in
-  let _ = Passes.Cse.run ~mapper:m f in
+  let _ = run_pass ~mapper:m Passes.Cse.run f in
   Verifier.verify_exn f;
   Alcotest.(check int) "one add left" 2 (Ir.instr_count f);
   Alcotest.(check int) "semantics" 25 (run_int f [ 2; 3 ]);
@@ -317,7 +324,7 @@ let test_cse_commutative () =
     parse
       "func @f(%x, %y) {\nentry:\n  %a = add %x, %y\n  %b = add %y, %x\n  %c = sub %a, %b\n  ret %c\n}\n"
   in
-  let _ = Passes.Cse.run f in
+  let _ = run_pass ~mapper:(CM.create ()) Passes.Cse.run f in
   Alcotest.(check int) "commutative add deduped" 2 (Ir.instr_count f)
 
 let test_cse_load_generations () =
@@ -336,7 +343,7 @@ let test_cse_load_generations () =
       \  ret %r\n\
        }\n"
   in
-  let _ = Passes.Cse.run f in
+  let _ = run_pass ~mapper:(CM.create ()) Passes.Cse.run f in
   Verifier.verify_exn f;
   (* %a and %b forward from the first store, and %c from the second — all
      three loads disappear while the generation check keeps %c at 9, not x.
@@ -362,7 +369,7 @@ let test_adce_removes_chains () =
        }\n"
   in
   let m = CM.create () in
-  let _ = Passes.Adce.run ~mapper:m f in
+  let _ = run_pass ~mapper:m Passes.Adce.run f in
   Verifier.verify_exn f;
   Alcotest.(check int) "only keep remains" 1 (Ir.instr_count f);
   Alcotest.(check int) "3 deletions recorded" 3 (CM.counts m).delete
@@ -379,7 +386,7 @@ let test_adce_keeps_stores () =
       \  ret %r\n\
        }\n"
   in
-  let _ = Passes.Adce.run f in
+  let _ = run_pass ~mapper:(CM.create ()) Passes.Adce.run f in
   Alcotest.(check int) "nothing removed" 4 (Ir.instr_count f);
   Alcotest.(check int) "semantics" 21 (run_int f [ 7 ])
 
@@ -402,7 +409,7 @@ let test_sccp_removes_unreachable () =
        }\n"
   in
   let m = CM.create () in
-  let _ = Passes.Sccp.run ~mapper:m f in
+  let _ = run_pass ~mapper:m Passes.Sccp.run f in
   Verifier.verify_exn f;
   Alcotest.(check bool) "dead block removed" true (Ir.find_block f "dead" = None);
   Alcotest.(check int) "semantics" 6 (run_int f [ 5 ]);
@@ -425,7 +432,7 @@ let test_sccp_through_phi () =
       \  ret %r\n\
        }\n"
   in
-  let _ = Passes.Sccp.run f in
+  let _ = run_pass ~mapper:(CM.create ()) Passes.Sccp.run f in
   Verifier.verify_exn f;
   Alcotest.(check int) "phi folded to 7" 0 (Ir.phi_count f);
   Alcotest.(check int) "semantics" 10 (run_int f [ 3 ])
@@ -451,9 +458,10 @@ let test_loop_canon_inserts_preheader () =
        }\n"
   in
   let m = CM.create () in
-  let _ = Passes.Loop_canon.run ~mapper:m f in
+  let _ = run_pass ~mapper:m Passes.Loop_canon.run f in
   Verifier.verify_exn f;
-  let li = Miniir.Loops.compute f in
+  let index = Miniir.Func_index.make f in
+  let li = Miniir.Loops.compute index (Miniir.Dom.compute index.cfg) in
   List.iter
     (fun l ->
       Alcotest.(check bool) "loop has preheader" true (Miniir.Loops.preheader f l <> None))
@@ -482,8 +490,8 @@ let test_licm_hoists () =
        }\n"
   in
   let m = CM.create () in
-  let _ = Passes.Loop_canon.run ~mapper:m f in
-  let changed = Passes.Licm.run ~mapper:m f in
+  let _ = run_pass ~mapper:m Passes.Loop_canon.run f in
+  let changed = run_pass ~mapper:m Passes.Licm.run f in
   Verifier.verify_exn f;
   Alcotest.(check bool) "hoisted" true changed;
   Alcotest.(check bool) "mul left the body" true
@@ -517,8 +525,8 @@ let test_licm_respects_memory () =
       \  ret %r\n\
        }\n"
   in
-  let _ = Passes.Loop_canon.run f in
-  let _ = Passes.Licm.run f in
+  let _ = run_pass ~mapper:(CM.create ()) Passes.Loop_canon.run f in
+  let _ = run_pass ~mapper:(CM.create ()) Passes.Licm.run f in
   Verifier.verify_exn f;
   Alcotest.(check bool) "load stays in body" true
     (List.exists
@@ -550,8 +558,8 @@ let test_licm_no_div_speculation () =
       \  ret %i\n\
        }\n"
   in
-  let _ = Passes.Loop_canon.run f in
-  let _ = Passes.Licm.run f in
+  let _ = run_pass ~mapper:(CM.create ()) Passes.Loop_canon.run f in
+  let _ = run_pass ~mapper:(CM.create ()) Passes.Licm.run f in
   Verifier.verify_exn f;
   Alcotest.(check bool) "sdiv stays guarded" true
     (List.exists
@@ -576,7 +584,7 @@ let test_sink_moves_into_branch () =
        }\n"
   in
   let m = CM.create () in
-  let changed = Passes.Sink.run ~mapper:m f in
+  let changed = run_pass ~mapper:m Passes.Sink.run f in
   Verifier.verify_exn f;
   Alcotest.(check bool) "sunk" true changed;
   Alcotest.(check bool) "mul moved to use block" true
@@ -606,7 +614,7 @@ let test_lcssa_inserts_phi () =
        }\n"
   in
   let m = CM.create () in
-  let changed = Passes.Lcssa.run ~mapper:m f in
+  let changed = run_pass ~mapper:m Passes.Lcssa.run f in
   Verifier.verify_exn f;
   Alcotest.(check bool) "lcssa changed" true changed;
   Alcotest.(check bool) "exit has a phi" true ((Ir.block_exn f "exit").phis <> []);
@@ -629,7 +637,7 @@ let check_lcssa ~changed ~ir ~actions ~cases src =
   let f = parse src in
   List.iter (fun (args, want) -> Alcotest.(check int) "input semantics" want (run_int f args)) cases;
   let m = CM.create () in
-  let c = Passes.Lcssa.run ~mapper:m f in
+  let c = run_pass ~mapper:m Passes.Lcssa.run f in
   Verifier.verify_exn f;
   Alcotest.(check bool) "changed" changed c;
   Alcotest.(check string) "ir" ir (Ir.func_to_string f);
@@ -817,8 +825,7 @@ let lcssa_agrees (f : Ir.func) : bool =
     (changed, Ir.func_to_string g, CM.actions_in_order m)
   in
   let reference = run (fun ~mapper g -> Lcssa_ref.run ~mapper g) in
-  reference = run (fun ~mapper g -> Passes.Lcssa.run ~mapper g)
-  && reference = run (fun ~mapper g -> Passes.Lcssa.run ~mapper ~am:(AM.create ()) g)
+  reference = run (fun ~mapper g -> run_pass ~mapper Passes.Lcssa.run g)
 
 let test_lcssa_matches_reference_corpus () =
   List.iter
@@ -879,9 +886,9 @@ let pass_preserves name (pass : P.pass) =
   QCheck.Test.make ~count:60 ~name Gen_ir.arb_func_with_args (fun (f0, args) ->
       let f = P.to_fbase f0 in
       let g = Ir.clone_func f in
-      let _ = pass.run g in
+      let _ = run_pass ~mapper:(CM.create ()) pass.run g in
       (match Verifier.verify g with
-      | Ok () -> ()
+      | Ok _ -> ()
       | Error es ->
           QCheck.Test.fail_reportf "verify after %s: %a@.%s" pass.pname
             (Fmt.list ~sep:Fmt.cut Verifier.pp_error)
@@ -911,10 +918,10 @@ let prop_licm =
     (fun (f0, args) ->
       let f = P.to_fbase f0 in
       let g = Ir.clone_func f in
-      let _ = Passes.Loop_canon.run g in
-      let _ = Passes.Licm.run g in
+      let _ = run_pass ~mapper:(CM.create ()) Passes.Loop_canon.run g in
+      let _ = run_pass ~mapper:(CM.create ()) Passes.Licm.run g in
       (match Verifier.verify g with
-      | Ok () -> ()
+      | Ok _ -> ()
       | Error es ->
           QCheck.Test.fail_reportf "verify: %a@.%s"
             (Fmt.list ~sep:Fmt.cut Verifier.pp_error)
@@ -933,56 +940,90 @@ let prop_pipeline =
             (Interp.run ~fuel:1_000_000 r.fopt ~args))
         (args :: Gen_ir.sample_args))
 
-(* ---------------- analysis-manager invalidation differential ------- *)
+(* ------------- the analyses each pass reads are fresh ------------- *)
 
 module Dom = Miniir.Dom
-module Liveness = Miniir.Liveness
+module Loops = Miniir.Loops
+module Func_index = Miniir.Func_index
 
-let dom_equal (f : Ir.func) (a : Dom.t) (b : Dom.t) : bool =
-  List.for_all
-    (fun (blk : Ir.block) ->
-      Dom.reachable a blk.label = Dom.reachable b blk.label
-      && Dom.idom_of a blk.label = Dom.idom_of b blk.label)
-    f.blocks
+(* [p], checking first that the index, dominators and loops it receives
+   equal a fresh computation on its input; the first pass of a run that
+   receives a stale one lands in [stale]. *)
+let probed (stale : string option ref) (p : P.pass) : P.pass =
+  {
+    p with
+    run =
+      (fun ~mapper ~am f ->
+        let index = Func_index.make f in
+        let dom = Dom.compute index.cfg in
+        let stale_now =
+          List.filter_map
+            (fun (what, fresh) -> if fresh then None else Some what)
+            [ ("index", (AM.index am = index)); ("dominators", (AM.dom am = dom)); ("loops", (AM.loops am = Loops.compute index dom)) ]
+        in
+        if stale_now <> [] && !stale = None then
+          stale :=
+            Some (Printf.sprintf "%s receives stale %s" p.pname (String.concat ", " stale_now));
+        p.run ~mapper ~am f);
+  }
 
-let live_equal (f : Ir.func) (a : Liveness.t) (b : Liveness.t) : bool =
-  List.for_all
-    (fun (blk : Ir.block) ->
-      Liveness.live_out_of a blk.label = Liveness.live_out_of b blk.label)
-    f.blocks
-  && List.for_all
-       (fun (i : Ir.instr) -> Liveness.live_at a i.id = Liveness.live_at b i.id)
-       (Ir.all_instrs f)
+let stale_analysis (pipeline : P.pass list) (f : Ir.func) : string option =
+  let stale = ref None in
+  ignore (P.apply ~pipeline:(List.map (probed stale) pipeline) ~sandbox:false f : P.apply_result);
+  !stale
 
-(* Populate the caches before each pass, then run the pass and the same
-   invalidation the pass manager performs: any analysis still cached
-   afterwards must agree with a fresh computation — i.e. the [preserves]
-   declarations are honest and "no change" reports really mean no change. *)
-let prop_am_caches_fresh =
-  QCheck.Test.make ~count:40 ~name:"cached dom/liveness stay equal to fresh computation"
-    Gen_ir.arb_func (fun f0 ->
+let prop_pass_analyses_fresh =
+  QCheck.Test.make ~count:60 ~name:"each pass reads freshly computed analyses" Gen_ir.arb_func
+    (fun f0 ->
       let f = P.to_fbase f0 in
-      let g = Ir.clone_func f in
-      let mapper = CM.create () in
-      let am = AM.create () in
-      List.iter
-        (fun (p : P.pass) ->
-          ignore (AM.dom am g : Dom.t);
-          ignore (AM.liveness am g : Liveness.t);
-          let changed = p.run ~mapper ~am g in
-          if changed then AM.invalidate ~preserved:p.preserves am;
-          (match am.AM.dom with
-          | Some d when not (dom_equal g d (Dom.compute g)) ->
-              QCheck.Test.fail_reportf "stale dominators after %s@.%s" p.pname
-                (Ir.func_to_string g)
-          | Some _ | None -> ());
-          match am.AM.live with
-          | Some l when not (live_equal g l (Liveness.compute g)) ->
-              QCheck.Test.fail_reportf "stale liveness after %s@.%s" p.pname
-                (Ir.func_to_string g)
-          | Some _ | None -> ())
-        P.standard_pipeline;
-      true)
+      match stale_analysis P.standard_pipeline f with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_reportf "%s@.%s" msg (Ir.func_to_string f))
+
+let test_pass_analyses_fresh_kernels () =
+  List.iter
+    (fun (e : Corpus.Kernels.entry) ->
+      Alcotest.(check (option string)) e.benchmark None
+        (stale_analysis P.standard_pipeline (fst (Corpus.Dsl.to_fbase e.kernel))))
+    Corpus.Kernels.all
+
+(* A pass that changes the CFG but reports no change: it moves the entry
+   block's terminator into a new block the entry falls through to.  With
+   analyses cached across passes until a pass reports a change, the pass
+   after it would read the dominators of the old CFG. *)
+let quiet_split : P.pass =
+  {
+    P.pname = "quiet-split";
+    run =
+      (fun ~mapper:_ ~am:_ f ->
+        let e = Ir.entry f in
+        let label = "split" in
+        let split =
+          { Ir.label; phis = []; body = []; term = e.term; term_id = Ir.fresh_id f }
+        in
+        List.iter
+          (fun s ->
+            List.iter
+              (fun (phi : Ir.instr) ->
+                match phi.rhs with
+                | Ir.Phi incoming ->
+                    phi.rhs <-
+                      Ir.Phi
+                        (List.map
+                           (fun (p, v) -> ((if String.equal p e.label then label else p), v))
+                           incoming)
+                | _ -> ())
+              (Ir.block_exn f s).phis)
+          (List.sort_uniq compare (Ir.successors e));
+        e.term <- Ir.Br label;
+        f.blocks <- e :: split :: List.tl f.blocks;
+        false);
+  }
+
+let test_quiet_cfg_change () =
+  let fbase, _ = Corpus.Dsl.to_fbase (Option.get (Corpus.Kernels.find "bzip2")).kernel in
+  Alcotest.(check (option string)) "the pass after a quiet CFG change" None
+    (stale_analysis [ P.cse; quiet_split; P.sink ] fbase)
 
 let prop_pipeline_idempotent_ids =
   QCheck.Test.make ~count:40 ~name:"surviving instructions keep their ids"
@@ -1044,5 +1085,7 @@ let suite =
       q prop_licm;
       q prop_pipeline;
       q prop_pipeline_idempotent_ids;
-      q prop_am_caches_fresh;
+      t "each pass reads fresh analyses on the kernels" test_pass_analyses_fresh_kernels;
+      t "a quiet CFG change leaves no stale dominators" test_quiet_cfg_change;
+      q prop_pass_analyses_fresh;
     ] )

@@ -398,23 +398,63 @@ let test_fuel_stops_infinite_loop () =
 
 (* -------------------- pass-pipeline sandboxing -------------------- *)
 
-(* A deliberately miscompiling pass: its output fails SSA verification, so
-   the sandboxed pipeline must undo it (IR and mapper history) and keep
-   going; the unsandboxed pipeline must raise. *)
-let corrupt_pass : P.pass =
+(* Deliberately miscompiling passes: each breaks the IR so that a
+   different verifier check rejects it, records a bogus action too (the
+   rollback must erase it) and keeps a copy of the IR it broke in
+   [broken].  The sandboxed pipeline must undo them (IR and mapper
+   history) and keep going; the unsandboxed pipeline must raise. *)
+let broken : Ir.func option ref = ref None
+
+let corrupting (pname : string) (corrupt : Ir.func -> unit) : P.pass =
   {
-    P.pname = "corrupt";
+    P.pname;
     run =
-      (fun ?mapper ?am:_ f ->
-        (* Record a bogus action too — rollback must erase it. *)
-        (match mapper with
-        | Some m -> Passes.Code_mapper.(record m (Delete { id = 424242 }))
-        | None -> ());
-        (Ir.entry f).Ir.term <- Ir.Br "$nowhere";
+      (fun ~mapper ~am:_ f ->
+        Passes.Code_mapper.(record mapper (Delete { id = 424242 }));
+        corrupt f;
+        broken := Some (Ir.clone_func f);
         true);
-    instrumented = true;
-    preserves = [];
   }
+
+(* A dangling branch: the structural checks reject it. *)
+let corrupt_pass = corrupting "corrupt" (fun f -> (Ir.entry f).Ir.term <- Ir.Br "$nowhere")
+
+(* The first instruction reading a register moved right above the
+   register's definition in the same block: only the dominance check,
+   which needs the dominators, rejects it. *)
+let use_above_def =
+  corrupting "use-above-def" (fun f ->
+      let moved = ref false in
+      List.iter
+        (fun (b : Ir.block) ->
+          let rec scan before = function
+            | [] -> ()
+            | (i : Ir.instr) :: rest -> (
+                let user =
+                  Option.bind i.result (fun r ->
+                      List.find_opt (fun (j : Ir.instr) -> List.mem r (Ir.rhs_uses j.rhs)) rest)
+                in
+                match user with
+                | Some j ->
+                    b.body <- List.rev_append before (j :: i :: List.filter (( != ) j) rest);
+                    moved := true
+                | None -> scan (i :: before) rest)
+          in
+          if not !moved then scan [] b.body)
+        f.blocks;
+      assert !moved)
+
+(* The first incoming of the first φ with two or more dropped: only the
+   φ check rejects it. *)
+let phi_incoming_dropped =
+  corrupting "phi-incoming-dropped" (fun f ->
+      let phi =
+        List.find
+          (fun (i : Ir.instr) ->
+            match i.rhs with Ir.Phi (_ :: _ :: _) -> true | _ -> false)
+          (List.concat_map (fun (b : Ir.block) -> b.phis) f.blocks)
+      in
+      match phi.rhs with Ir.Phi (_ :: rest) -> phi.rhs <- Ir.Phi rest | _ -> assert false)
 
 let test_sandboxed_pipeline () =
   let entry = Option.get (Corpus.Kernels.find "bzip2") in
@@ -460,6 +500,52 @@ let test_sandboxed_pipeline () =
     (Interp.equal_result
        (Interp.run fbase ~args:entry.default_args)
        (Interp.run r_sand.P.fopt ~args:entry.default_args));
+  Telemetry.reset_counters ()
+
+(* Each corruption is rolled back, and the error text the pipeline reports
+   (remark and exception alike) is byte-equal to the verifier's on a fresh
+   copy of the broken IR: the pipeline's verification reads nothing
+   cached. *)
+let test_sandbox_each_check () =
+  let contains s sub =
+    let n = String.length sub in
+    let rec from i = i + n <= String.length s && (String.sub s i n = sub || from (i + 1)) in
+    from 0
+  in
+  let fbase, _ = Corpus.Dsl.to_fbase (Option.get (Corpus.Kernels.find "bzip2")).kernel in
+  let clean = Ir.func_to_string (P.apply fbase).P.fopt in
+  List.iter
+    (fun ((bad : P.pass), check) ->
+      let pipeline =
+        match P.standard_pipeline with p :: rest -> p :: bad :: rest | [] -> [ bad ]
+      in
+      broken := None;
+      Telemetry.reset_counters ();
+      let sink = Telemetry.create () in
+      let r = P.apply ~pipeline ~telemetry:sink fbase in
+      Alcotest.(check string) (bad.pname ^ ": rolled back") clean (Ir.func_to_string r.P.fopt);
+      Alcotest.(check int) (bad.pname ^ ": pass.rolled_back") 1
+        P.stat_rolled_back.Telemetry.value;
+      let want =
+        match Miniir.Verifier.verify (Ir.clone_func (Option.get !broken)) with
+        | Ok _ -> Alcotest.failf "%s: the broken IR verifies" bad.pname
+        | Error es -> Fmt.str "%a" (Fmt.list ~sep:Fmt.cut Miniir.Verifier.pp_error) es
+      in
+      Alcotest.(check bool) (bad.pname ^ ": caught by the " ^ check) true
+        (contains want check);
+      Alcotest.(check (list string)) (bad.pname ^ ": remark")
+        [ "pass rolled back: post-pass verification failed: " ^ want ]
+        (List.map (fun (rk : Telemetry.remark) -> rk.rmsg) (Telemetry.remarks ~pass:bad.pname sink));
+      match P.apply ~pipeline ~sandbox:false fbase with
+      | exception P.Verification_failed (name, details) ->
+          Alcotest.(check (pair string string)) (bad.pname ^ ": raised") (bad.pname, want)
+            (name, details)
+      | _ -> Alcotest.failf "%s: unsandboxed pipeline did not raise" bad.pname)
+    [
+      (corrupt_pass, "unknown block");
+      (use_above_def, "not dominated");
+      (phi_incoming_dropped, "but predecessors");
+    ];
   Telemetry.reset_counters ()
 
 (* -------------------- typed errors surface, exceptions don't ---------- *)
@@ -514,6 +600,7 @@ let suite =
       t "fuel budgets on both engines" test_fuel_budgets;
       t "fuel stops an infinite loop" test_fuel_stops_infinite_loop;
       t "sandboxed pass pipeline rolls back" test_sandboxed_pipeline;
+      t "sandbox rolls back what each verifier check catches" test_sandbox_each_check;
       t "typed errors replace exceptions" test_typed_errors;
       QCheck_alcotest.to_alcotest prop_seeded_random_functions;
     ] )
